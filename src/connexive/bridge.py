@@ -17,7 +17,7 @@ always elimination-rooted, so no maximum formula can arise.
 from __future__ import annotations
 
 from .checking import CheckReport, InvalidProof
-from .formula import And, Formula, Imp, Neg, Or, Var
+from .formula import And, Formula, Imp, Neg, Or, Var, show
 from .natded import (
     Derivation,
     NdRule,
@@ -29,9 +29,9 @@ from .natded import (
     is_normal,
     open_assumptions,
     require_valid,
-    subst_open,
+    subst_leaves,
 )
-from .prover import SearchConfig, Verdict, decide, eliminate_cut
+from .prover import ResourceExceeded, SearchConfig, SearchStats, Verdict, decide, eliminate_cut
 from .sequent import (
     Calculus,
     Rule,
@@ -79,8 +79,10 @@ def nd_to_sc(sys_id: NdSystem, d: Derivation) -> SequentProof:
     target = _oa_rel(d)
     proof = _weaken(proof, target - proof.conclusion.ctx)
     rep = check_proof(calc, proof)
-    assert rep.ok, rep.message()
-    assert proof.conclusion == Sequent(target, d.formula)
+    if not rep.ok:
+        raise InvalidProof(rep)
+    if proof.conclusion != Sequent(target, d.formula):
+        raise RuntimeError(f"nd_to_sc concluded {proof.conclusion}, not {Sequent(target, d.formula)}")
     return proof
 
 
@@ -228,15 +230,37 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
         raise InvalidProof(rep)
     if not p.is_cut_free():
         raise ValueError("input proof contains cut")
+    # ND derivations are trees: the translation walks the proof's tree
+    # expansion, which sharing can make exponentially larger than the DAG
+    budget = (cfg or SearchConfig()).node_budget
+    size = p.node_count()
+    if size > budget:
+        raise ResourceExceeded(
+            SearchStats(0, 0, 0.0),
+            f"sc_to_nd: proof expands to {size} tree nodes, over the node budget of {budget}",
+        )
     sys_id = PAIRED_SYSTEM[calc]
     counter = [1]
     d = _to_nd(p, counter)
     rep = check_derivation(sys_id, d)
-    assert rep.ok, rep.message()
-    assert is_normal(d)
-    assert d.formula == p.conclusion.suc
-    assert open_assumptions(d) <= p.conclusion.ctx
+    if not rep.ok:
+        raise InvalidProof(rep)
+    _require_normal(d, p.conclusion.suc, p.conclusion.ctx)
     return d
+
+
+def _require_normal(d: Derivation, end: Formula, ctx: frozenset[Formula]) -> None:
+    """The contract of sc_to_nd and normalize, checked even under -O."""
+    if not is_normal(d):
+        raise RuntimeError("derivation is not normal")
+    if d.formula != end:
+        raise RuntimeError(f"derivation ends in {show(d.formula)}, not {show(end)}")
+    if not open_assumptions(d) <= ctx:
+        raise RuntimeError("derivation has open assumptions outside the context")
+
+
+def _open_leaf(phi: Formula):
+    return lambda n: n.label is None and n.formula == phi
 
 
 def _fresh(counter: list[int]) -> int:
@@ -267,7 +291,7 @@ def _to_nd(p: SequentProof, counter: list[int]) -> Derivation:
         else:
             active, rule = Neg(phi.body.right), NdRule.NEG_IMP_E
         e = Derivation(rule, active, (assumption(phi), d1))
-        out, counter[0] = subst_open(d2, active, e, counter[0])
+        out, counter[0] = subst_leaves(d2, _open_leaf(active), e, counter[0])
         return out
 
     if r is Rule.AND_RIGHT:
@@ -279,8 +303,8 @@ def _to_nd(p: SequentProof, counter: list[int]) -> Derivation:
         d1 = _to_nd(p.premises[0], counter)
         e1 = Derivation(NdRule.AND_E1, phi.left, (assumption(phi),))
         e2 = Derivation(NdRule.AND_E2, phi.right, (assumption(phi),))
-        d1, counter[0] = subst_open(d1, phi.left, e1, counter[0])
-        d1, counter[0] = subst_open(d1, phi.right, e2, counter[0])
+        d1, counter[0] = subst_leaves(d1, _open_leaf(phi.left), e1, counter[0])
+        d1, counter[0] = subst_leaves(d1, _open_leaf(phi.right), e2, counter[0])
         return d1
 
     if r in (Rule.OR_RIGHT1, Rule.OR_RIGHT2):
@@ -307,7 +331,7 @@ def _to_nd(p: SequentProof, counter: list[int]) -> Derivation:
     if r is Rule.NEG_LEFT:
         d1 = _to_nd(p.premises[0], counter)
         e = Derivation(NdRule.NEGNEG_E, phi.body.body, (assumption(phi),))
-        out, counter[0] = subst_open(d1, phi.body.body, e, counter[0])
+        out, counter[0] = subst_leaves(d1, _open_leaf(phi.body.body), e, counter[0])
         return out
 
     if r in (Rule.NEG_AND_RIGHT1, Rule.NEG_AND_RIGHT2):
@@ -325,8 +349,8 @@ def _to_nd(p: SequentProof, counter: list[int]) -> Derivation:
         na, nb = Neg(phi.body.left), Neg(phi.body.right)
         e1 = Derivation(NdRule.NEG_OR_E1, na, (assumption(phi),))
         e2 = Derivation(NdRule.NEG_OR_E2, nb, (assumption(phi),))
-        d1, counter[0] = subst_open(d1, na, e1, counter[0])
-        d1, counter[0] = subst_open(d1, nb, e2, counter[0])
+        d1, counter[0] = subst_leaves(d1, _open_leaf(na), e1, counter[0])
+        d1, counter[0] = subst_leaves(d1, _open_leaf(nb), e2, counter[0])
         return d1
 
     if r is Rule.EX_MIDDLE:
@@ -359,7 +383,5 @@ def normalize(sys_id: NdSystem, d: Derivation, cfg: SearchConfig | None = None) 
     proof = nd_to_sc(sys_id, d)
     cut_free = eliminate_cut(calc, proof, cfg)
     out = sc_to_nd(calc, cut_free, cfg)
-    assert is_normal(out)
-    assert out.formula == d.formula
-    assert open_assumptions(out) <= open_assumptions(d)
+    _require_normal(out, d.formula, open_assumptions(d))
     return out

@@ -16,7 +16,7 @@ from .prover import ProveResult, SearchConfig, decide
 from .sequent import Calculus, Sequent
 
 
-def translate_f(phi: Formula, _memo: dict | None = None) -> Formula:
+def translate_f(phi: Formula) -> Formula:
     """f: ~-free image of phi over the primed/unprimed atom language."""
     if has_primed(phi):
         raise ValueError("primed atom in embedding input")

@@ -248,17 +248,6 @@ def parse(text: str, allow_primed: bool = False) -> Formula:
 # ---------------------------------------------------------------------------
 # Closure.
 
-@dataclass(frozen=True)
-class FormulaUniverse:
-    """Finite formula set bounding backward proof search for a goal sequent."""
-
-    members: frozenset[Formula]
-    seed: object  # the Sequent this universe was generated from
-
-    def sorted_members(self) -> list[Formula]:
-        return sorted(self.members, key=key)
-
-
 def closure_set(formulas: Iterable[Formula], add_negations: bool = True) -> frozenset[Formula]:
     """Smallest superset closed under immediate subformulas and, when
     add_negations, one ~ per member with the ~~~ chains truncated."""
@@ -279,8 +268,7 @@ def closure_set(formulas: Iterable[Formula], add_negations: bool = True) -> froz
     return frozenset(seen)
 
 
-def closure(sequent, add_negations: bool = True) -> FormulaUniverse:
-    """Closure of every formula in a sequent (duck-typed: .ctx and .suc)."""
-    return FormulaUniverse(
-        closure_set([*sequent.ctx, sequent.suc], add_negations), sequent
-    )
+def closure(sequent, add_negations: bool = True) -> frozenset[Formula]:
+    """Closure of every formula in a sequent (duck-typed: .ctx and .suc);
+    the finite formula set that bounds backward proof search for it."""
+    return closure_set([*sequent.ctx, sequent.suc], add_negations)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .checking import ACCEPT, CheckReport, InvalidProof
 from .formula import And, Formula, Imp, Neg, Or, Var, parse, show
@@ -448,29 +448,15 @@ def refresh_labels(d: Derivation, start: int) -> tuple[Derivation, int]:
     return relabel(d, mapping), start + len(inner)
 
 
-def subst_open(d: Derivation, target: Formula, replacement: Derivation, next_label: int) -> tuple[Derivation, int]:
-    """Substitute a copy of replacement for every open assumption leaf of
-    d whose formula is target; each copy gets fresh internal labels."""
+def subst_leaves(
+    d: Derivation, hit: Callable[[Derivation], bool], replacement: Derivation, next_label: int
+) -> tuple[Derivation, int]:
+    """Substitute a copy of replacement for every assumption leaf n of d
+    with hit(n); each copy gets fresh internal labels.  Returns the new
+    tree and the next unused label."""
 
     def go(n: Derivation, counter: list[int]) -> Derivation:
-        if n.rule is NdRule.ASSUMPTION and n.label is None and n.formula == target:
-            copy, counter[0] = refresh_labels(replacement, counter[0])
-            return copy
-        prems = tuple(go(p, counter) for p in n.premises)
-        if prems == n.premises:
-            return n
-        return Derivation(n.rule, n.formula, prems, n.discharge, n.label)
-
-    box = [next_label]
-    return go(d, box), box[0]
-
-
-def subst_label(d: Derivation, label: int, replacement: Derivation, next_label: int) -> tuple[Derivation, int]:
-    """Substitute a copy of replacement for every assumption leaf of d
-    bound to label; each copy gets fresh internal labels."""
-
-    def go(n: Derivation, counter: list[int]) -> Derivation:
-        if n.rule is NdRule.ASSUMPTION and n.label == label:
+        if n.rule is NdRule.ASSUMPTION and hit(n):
             copy, counter[0] = refresh_labels(replacement, counter[0])
             return copy
         prems = tuple(go(p, counter) for p in n.premises)

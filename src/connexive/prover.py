@@ -56,6 +56,7 @@ from .sequent import (
     Sequent,
     SequentProof,
     check_proof,
+    fold,
     identity_proof,
 )
 
@@ -86,7 +87,6 @@ class ProveResult:
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = 5_000_000
-    allow_g_ex_middle_direct: bool = False
     memo: bool = True
 
     def __post_init__(self):
@@ -95,8 +95,8 @@ class SearchConfig:
 
 
 class ResourceExceeded(RuntimeError):
-    def __init__(self, stats: SearchStats):
-        super().__init__(f"node budget exhausted after {stats.nodes_expanded} expansions")
+    def __init__(self, stats: SearchStats, message: str | None = None):
+        super().__init__(message or f"node budget exhausted after {stats.nodes_expanded} expansions")
         self.stats = stats
 
 
@@ -131,13 +131,14 @@ def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> Prove
             raise ValueError("primed atoms belong to the positive language only")
     elif any(has_negation(f) for f in s.ctx | {s.suc}):
         raise ValueError(f"connexive negation is outside the language of {calc.value}")
-    if calc in _UNSTAR and not cfg.allow_g_ex_middle_direct:
+    if calc in _UNSTAR:
         inner = decide(_UNSTAR[calc], s, cfg)
         if inner.verdict is not Verdict.PROVABLE:
             return inner
         proof = _destar(inner.proof)
         rep = check_proof(calc, proof)
-        assert rep.ok, rep.message()
+        if not rep.ok:
+            raise InvalidProof(rep)
         return ProveResult(Verdict.PROVABLE, proof, inner.stats)
 
     if cfg.memo:
@@ -161,8 +162,10 @@ def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> Prove
     wall = time.perf_counter() - t0
     if proof is not None:
         rep = check_proof(calc, proof)
-        assert rep.ok, rep.message()
-        assert proof.is_cut_free()
+        if not rep.ok:
+            raise InvalidProof(rep)
+        if not proof.is_cut_free():
+            raise RuntimeError("proof search emitted a proof with cut")
         if cfg.memo:
             with _MEMO_LOCK:
                 _MEMO.setdefault((calc, s), proof)
@@ -180,12 +183,15 @@ def clear_memo() -> None:
 def _destar(proof: SequentProof) -> SequentProof:
     """Rewrite (Peirce) nodes as (g-ex-middle) nodes, closing the extra
     premise (alpha, Gamma => alpha) by generalized identity."""
-    premises = tuple(_destar(p) for p in proof.premises)
-    if proof.rule is not Rule.PEIRCE:
-        return SequentProof(proof.conclusion, proof.rule, proof.principal, premises)
-    alpha = proof.conclusion.suc
-    ident = identity_proof(Calculus.SMC_STAR, alpha, proof.conclusion.ctx - {alpha})
-    return SequentProof(proof.conclusion, Rule.G_EX_MIDDLE, proof.principal, premises + (ident,))
+
+    def combine(node: SequentProof, subs: list[SequentProof]) -> SequentProof:
+        if node.rule is not Rule.PEIRCE:
+            return SequentProof(node.conclusion, node.rule, node.principal, tuple(subs))
+        alpha = node.conclusion.suc
+        ident = identity_proof(Calculus.SMC_STAR, alpha, node.conclusion.ctx - {alpha})
+        return SequentProof(node.conclusion, Rule.G_EX_MIDDLE, node.principal, (*subs, ident))
+
+    return fold(proof, combine)
 
 
 class _BudgetExhausted(Exception):
@@ -282,7 +288,7 @@ class _Search:
         self.max_depth = 0
 
     def _build_universe(self, goal: Sequent) -> frozenset[Formula]:
-        uni = closure(goal, add_negations=self.calc in CONNEXIVE_CALCULI).members
+        uni = closure(goal, add_negations=self.calc in CONNEXIVE_CALCULI)
         if Rule.P_EX_MIDDLE in self.rules:
             extra = {Var(a.name, True) for a in uni if isinstance(a, Var) and not a.primed}
             uni = closure_set(uni | extra, add_negations=False)
@@ -464,13 +470,6 @@ class _Search:
                 inst = self._emit(s, Rule.PEIRCE, wit, [((wit,), g)])
                 if inst is not None:
                     yield inst
-        if Rule.G_EX_MIDDLE in rules:
-            for alpha in sorted_uni:
-                for beta in sorted_uni:
-                    wit = Imp(alpha, beta)
-                    inst = self._emit(s, Rule.G_EX_MIDDLE, wit, [((wit,), g), ((alpha,), g)])
-                    if inst is not None:
-                        yield inst
         if Rule.P_EX_MIDDLE in rules:
             for p in sorted_uni:
                 if isinstance(p, Var) and not p.primed:

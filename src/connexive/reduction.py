@@ -26,7 +26,7 @@ from .natded import (
     relabel,
     replace_at,
     require_valid,
-    subst_label,
+    subst_leaves,
 )
 
 
@@ -89,7 +89,7 @@ def _contract(parent: Derivation, fresh: int) -> Derivation:
         body, minor = major.premises[0], parent.premises[1]
         if major.discharge is None:
             return body
-        return subst_label(body, major.discharge, minor, fresh)[0]
+        return subst_leaves(body, lambda n: n.label == major.discharge, minor, fresh)[0]
     if r is NdRule.AND_I:
         return major.premises[0] if parent.rule is NdRule.AND_E1 else major.premises[1]
     if r is NdRule.NEG_OR_I:
@@ -101,7 +101,7 @@ def _contract(parent: Derivation, fresh: int) -> Derivation:
         inner = major.premises[0]
         if parent.discharge is None:
             return branch
-        return subst_label(branch, parent.discharge, inner, fresh)[0]
+        return subst_leaves(branch, lambda n: n.label == parent.discharge, inner, fresh)[0]
     if r in (NdRule.OR_E, NdRule.NEG_AND_E, NdRule.EM, NdRule.GEM):
         return _permute(parent, 0, fresh)
     raise AssertionError(f"no reduction clause for major rule {r.value}")

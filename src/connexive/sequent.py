@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof
 from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
@@ -155,19 +155,52 @@ def parse_sequent(text: str, allow_primed: bool = False) -> Sequent:
 
 @dataclass(frozen=True)
 class SequentProof:
+    """A proof node.  Premises may be shared, so a proof is a DAG; walk it
+    with fold, which visits each node object once."""
+
     conclusion: Sequent
     rule: Rule
     principal: Formula | None = None
     premises: tuple["SequentProof", ...] = ()
 
     def is_cut_free(self) -> bool:
-        return self.rule is not Rule.CUT and all(p.is_cut_free() for p in self.premises)
+        return fold(self, lambda node, subs: node.rule is not Rule.CUT and all(subs))
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        """Size of the proof as a tree: a shared subproof counts once per
+        occurrence.  Computed on the DAG, without expanding the tree."""
+        return fold(self, lambda node, subs: 1 + sum(subs))
 
     def depth(self) -> int:
-        return 1 + max((p.depth() for p in self.premises), default=0)
+        return fold(self, lambda node, subs: 1 + max(subs, default=0))
+
+
+T = TypeVar("T")
+
+
+def fold(proof: SequentProof, combine: Callable[[SequentProof, list[T]], T]) -> T:
+    """Bottom-up fold over a proof DAG: combine(node, premise results)
+    runs once per distinct node object, however often it is shared.
+
+    Iterative, so proof depth is not bounded by the interpreter's
+    recursion limit.  A node is pushed unexpanded; on its first visit it
+    goes back on the stack as expanded, under its premises, so when it
+    comes up again every premise is done and only the results need
+    collecting."""
+    done: dict[int, T] = {}
+    stack: list[tuple[SequentProof, bool]] = [(proof, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            done[id(node)] = combine(node, [done[id(p)] for p in node.premises])
+        elif id(node) not in done:
+            stack.append((node, True))
+            for p in node.premises:
+                if p.premises:
+                    stack.append((p, False))
+                elif id(p) not in done:  # a leaf needs no second visit
+                    done[id(p)] = combine(p, [])
+    return done[id(proof)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +208,20 @@ class SequentProof:
 
 def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     """Accept iff every node instantiates a rule schema of calc under set
-    semantics; on failure pinpoint the first failing node (pre-order)."""
-    return _check(calc, proof, ())
+    semantics; on failure pinpoint the first failing node (pre-order).
+    Each distinct node is checked once; the path to a failure is built
+    bottom-up, so it names the first failing occurrence in the tree."""
 
+    def combine(node: SequentProof, subs: list[CheckReport]) -> CheckReport:
+        reason = _node_error(calc, node)
+        if reason is not None:
+            return CheckReport(False, (), node.rule.value, reason)
+        for i, rep in enumerate(subs):
+            if not rep.ok:
+                return CheckReport(False, (i,) + rep.path, rep.rule, rep.reason)
+        return ACCEPT
 
-def _check(calc: Calculus, node: SequentProof, path: tuple[int, ...]) -> CheckReport:
-    reason = _node_error(calc, node)
-    if reason is not None:
-        return CheckReport(False, path, node.rule.value, reason)
-    for i, p in enumerate(node.premises):
-        rep = _check(calc, p, path + (i,))
-        if not rep.ok:
-            return rep
-    return ACCEPT
+    return fold(proof, combine)
 
 
 def _mismatch(expected: Sequent, actual: Sequent) -> str:
@@ -399,14 +433,17 @@ def weaken_proof(calc: Calculus, proof: SequentProof, extra: Iterable[Formula]) 
     return _weaken(proof, frozenset(extra))
 
 
-def _weaken(node: SequentProof, extra: frozenset[Formula]) -> SequentProof:
+def _weaken(proof: SequentProof, extra: frozenset[Formula]) -> SequentProof:
     if not extra:
-        return node
-    return SequentProof(
-        Sequent(node.conclusion.ctx | extra, node.conclusion.suc),
-        node.rule,
-        node.principal,
-        tuple(_weaken(p, extra) for p in node.premises),
+        return proof
+    return fold(
+        proof,
+        lambda node, subs: SequentProof(
+            Sequent(node.conclusion.ctx | extra, node.conclusion.suc),
+            node.rule,
+            node.principal,
+            tuple(subs),
+        ),
     )
 
 
@@ -479,41 +516,149 @@ def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
 
 
 # ---------------------------------------------------------------------------
-# JSON proof format.
+# JSON proof format.  A node is {"rule", "sequent": {"ctx", "suc"},
+# "principal", "premises"}.  A subproof that was already written in full
+# is written again as {"ref": k}, where k counts the full nodes in the
+# order they end (post-order), so a shared proof stays shared on disk.  A
+# file without refs is a plain nested tree.
 
 def proof_to_obj(proof: SequentProof) -> dict:
-    return {
-        "rule": proof.rule.value,
-        "sequent": {
-            "ctx": [show(f) for f in proof.conclusion.sorted_ctx()],
-            "suc": show(proof.conclusion.suc),
-        },
-        "principal": None if proof.principal is None else show(proof.principal),
-        "premises": [proof_to_obj(p) for p in proof.premises],
-    }
+    index: dict[int, int] = {}
+    shown: dict[int, str] = {}  # formulas recur across nodes: print each object once
+
+    def text(f: Formula) -> str:
+        t = shown.get(id(f))
+        if t is None:
+            t = shown[id(f)] = show(f)
+        return t
+
+    def emit(node: SequentProof) -> dict:
+        k = index.get(id(node))
+        if k is not None:
+            return {"ref": k}
+        obj = {
+            "rule": node.rule.value,
+            "sequent": {
+                # the order of sorted_ctx, whose sort key is the printed form
+                "ctx": sorted(text(f) for f in node.conclusion.ctx),
+                "suc": text(node.conclusion.suc),
+            },
+            "principal": None if node.principal is None else text(node.principal),
+            "premises": [emit(p) for p in node.premises],
+        }
+        index[id(node)] = len(index)
+        return obj
+
+    return emit(proof)
 
 
-def proof_from_obj(obj: dict) -> SequentProof:
-    rule = Rule(obj["rule"])
-    s = obj["sequent"]
-    conclusion = seq(
-        [parse(t, allow_primed=True) for t in s["ctx"]], parse(s["suc"], allow_primed=True)
-    )
-    raw = obj.get("principal")
-    if raw is None:
-        principal = None
-    elif isinstance(raw, list):  # [alpha, beta] pair form
-        a, b = (parse(t, allow_primed=True) for t in raw)
-        principal = a if rule is Rule.EX_MIDDLE else Imp(a, b)
-    else:
-        principal = parse(raw, allow_primed=True)
-    premises = tuple(proof_from_obj(p) for p in obj.get("premises", []))
-    return SequentProof(conclusion, rule, principal, premises)
+class _ProofDecoder:
+    """Builds proof nodes as the JSON decoder finishes each object,
+    innermost first, so the decoded object tree is never held whole.
+    That is also the order in which refs number the nodes."""
+
+    def __init__(self):
+        self.table: list[SequentProof] = []
+        self.parsed: dict[str, Formula] = {}  # one object per distinct formula text
+
+    def __call__(self, o: dict):
+        if "ref" in o:
+            k = o["ref"]
+            if type(k) is not int or not 0 <= k < len(self.table):
+                raise ValueError(f"ref {k!r:.80} names no subproof read before it")
+            return self.table[k]
+        if not ("rule" in o or "sequent" in o or "premises" in o):
+            return seq(map(self.formula, _list(_field(o, "ctx"), "ctx")), self.formula(_field(o, "suc")))
+        rule = Rule(_field(o, "rule"))
+        conclusion = _field(o, "sequent")
+        if not isinstance(conclusion, Sequent):
+            raise ValueError("sequent must be a JSON object with ctx and suc")
+        raw = o.get("principal")
+        principal = None if raw is None else self.formula(raw)
+        premises = tuple(_list(o.get("premises", []), "premises"))
+        for p in premises:
+            _require_node(p)
+        node = SequentProof(conclusion, rule, principal, premises)
+        self.table.append(node)
+        return node
+
+    def formula(self, text) -> Formula:
+        if not isinstance(text, str):
+            raise ValueError(f"formula must be a string, got {text!r:.80}")
+        f = self.parsed.get(text)
+        if f is None:
+            f = self.parsed[text] = parse(text, allow_primed=True)
+        return f
+
+
+def _require_node(value) -> SequentProof:
+    if not isinstance(value, SequentProof):
+        raise ValueError(f"proof node must be a JSON object with a rule, got {value!r:.80}")
+    return value
+
+
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    return obj[name]
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r:.80}")
+    return value
 
 
 def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
-    return json.dumps(proof_to_obj(proof), indent=indent)
+    """The text of json.dumps(proof_to_obj(proof), indent=indent).
+
+    Not left to json.dumps: the text of a deep proof is mostly
+    indentation, which the stdlib encoder copies into every list item
+    before joining them all.  Here each line break and each distinct
+    value is one shared string, so building the text takes little more
+    memory than the text itself."""
+    parts: list[str] = []
+    newline = "" if indent is None else "\n"
+    breaks = [(newline, None)]  # per nesting level: before the first item, before the others
+    atoms: dict = {}
+
+    def atom(value) -> str:
+        text = atoms.get(value)
+        if text is None:
+            text = atoms[value] = json.dumps(value)
+        return text
+
+    def emit(o, level: int) -> None:
+        if not isinstance(o, (dict, list)):
+            parts.append(atom(o))
+            return
+        if not o:
+            parts.append(json.dumps(o))
+            return
+        if len(breaks) == level + 1:
+            pad = newline + " " * (indent or 0) * (level + 1)
+            breaks.append((pad, ("," if indent is not None else ", ") + pad))
+        first, later = breaks[level + 1]
+        keyed = isinstance(o, dict)
+        parts.append("{" if keyed else "[")
+        for i, item in enumerate(o.items() if keyed else o):
+            parts.append(later if i else first)
+            if keyed:
+                parts.append(atom(item[0]))
+                parts.append(": ")
+                item = item[1]
+            emit(item, level + 1)
+        parts.append(breaks[level][0])
+        parts.append("}" if keyed else "]")
+
+    emit(proof_to_obj(proof), 0)
+    return "".join(parts)
 
 
 def proof_from_json(text: str) -> SequentProof:
-    return proof_from_obj(json.loads(text))
+    """Inverse of proof_to_json: each ref resolves to the same object.
+    Malformed input raises ValueError."""
+    try:
+        return _require_node(json.loads(text, object_hook=_ProofDecoder()))
+    except RecursionError:
+        raise ValueError("proof file is nested too deeply") from None

@@ -17,9 +17,25 @@ from connexive.natded import (
     open_assumptions,
     replace_at,
 )
-from connexive.sequent import Sequent, seq
+from connexive.sequent import Rule, Sequent, SequentProof, seq
 
 ATOMS = (Var("p"), Var("q"), Var("r"))
+
+
+# ---------------------------------------------------------------------------
+# A proof whose sharing makes its tree exponential.
+
+def shared_or_chain(n: int) -> SequentProof:
+    """Valid sc proof of r, q0 | q0, ..., q{n-1} | q{n-1} => r: n (or left)
+    nodes, each taking one object as both premises, over an (init1) leaf.
+    It has n + 1 distinct nodes and 2^(n+1) - 1 as a tree."""
+    r = Var("r")
+    qs = [Var(f"q{i}") for i in range(n)]
+    ors = [Or(q, q) for q in qs]
+    node = SequentProof(seq([r, *qs], r), Rule.INIT1)
+    for k in reversed(range(n)):
+        node = SequentProof(seq([r, *qs[:k], *ors[k:]], r), Rule.OR_LEFT, ors[k], (node, node))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from connexive.natded import (
     is_normal,
     open_assumptions,
 )
-from connexive.prover import Verdict, decide, eliminate_cut
+from connexive.prover import ResourceExceeded, SearchConfig, Verdict, decide, eliminate_cut
 from connexive.sequent import Calculus, Sequent, check_proof, seq
 
-from helpers import plant_detours, rand_derivation, rand_sequent
+from helpers import plant_detours, rand_derivation, rand_sequent, shared_or_chain
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -158,3 +158,15 @@ def test_sc_to_nd_requires_cut_free():
     cut = SequentProof(seq([q, p, r], r), Rule.CUT, p, (prem1, prem2))
     with pytest.raises(ValueError):
         sc_to_nd(Calculus.SC, cut)
+
+
+def test_sc_to_nd_budget_bounds_tree_expansion():
+    # within the budget, the shared chain expands into a normal derivation
+    small = shared_or_chain(3)
+    d = sc_to_nd(Calculus.SC, small, SearchConfig(node_budget=15))
+    assert check_derivation(NdSystem.NC, d).ok and is_normal(d)
+    with pytest.raises(ResourceExceeded):
+        sc_to_nd(Calculus.SC, small, SearchConfig(node_budget=14))
+    # 2^41 - 1 tree nodes from 41 distinct ones: refused, not expanded
+    with pytest.raises(ResourceExceeded):
+        sc_to_nd(Calculus.SC, shared_or_chain(40))

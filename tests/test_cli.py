@@ -10,6 +10,8 @@ from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
 from connexive.formula import Imp, Var
 
+from helpers import shared_or_chain
+
 p, q = Var("p"), Var("q")
 
 
@@ -95,6 +97,34 @@ def test_check_malformed_json(capsys, tmp_path):
     path.write_text("{not json")
     code, _, _ = run(capsys, "check", "sc", "sc", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"rule": "init1", "sequent": {"ctx": "p", "suc": "p"}, "premises": []}',
+        '{"ref": 0}',
+    ],
+)
+def test_check_malformed_proof(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "check", "sc", "sc", "-")
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_shared_proof_file(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(proof_to_json(shared_or_chain(40)))
+    code, out, _ = run(capsys, "check", "sc", "sc", str(path))
+    assert code == 0 and out.strip() == "valid"
+    # as a derivation the proof is a tree of 2^41 - 1 nodes
+    code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", "sc")
+    assert code == 3
+    assert out == "" and "node budget" in err
 
 
 def test_transform_translate(capsys):

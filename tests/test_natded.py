@@ -20,8 +20,7 @@ from connexive.natded import (
     open_assumptions,
     replace_at,
     require_valid,
-    subst_label,
-    subst_open,
+    subst_leaves,
 )
 
 from helpers import rand_derivation
@@ -143,7 +142,7 @@ def test_require_valid_raises():
 def test_subst_open():
     d = Derivation(NdRule.OR_I1, Or(p, q), (assumption(p),))
     repl = Derivation(NdRule.AND_E1, p, (assumption(And(p, r)),))
-    out, _ = subst_open(d, p, repl, 10)
+    out, _ = subst_leaves(d, lambda n: n.label is None and n.formula == p, repl, 10)
     assert check_derivation(NdSystem.NC, out).ok
     assert open_assumptions(out) == frozenset({And(p, r)})
 
@@ -151,11 +150,11 @@ def test_subst_open():
 def test_subst_label():
     d = imp_intro(assumption(p), p, 1)
     body = d.premises[0]
-    out, _ = subst_label(body, 1, assumption(q, None), 10)
+    out, _ = subst_leaves(body, lambda n: n.label == 1, assumption(q, None), 10)
     assert out.formula == p or out.rule is NdRule.ASSUMPTION
     # substituting for a bound leaf replaces it wholesale
     repl = Derivation(NdRule.AND_E1, p, (assumption(And(p, q)),))
-    out2, _ = subst_label(body, 1, repl, 10)
+    out2, _ = subst_leaves(body, lambda n: n.label == 1, repl, 10)
     assert out2 == repl
 
 

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import connexive
 
 from connexive.formula import And, Imp, Neg, Or, Var, atoms
 from connexive.prover import (
@@ -21,8 +26,11 @@ from connexive.sequent import (
     Sequent,
     SequentProof,
     check_proof,
+    fold,
     identity_proof,
     parse_sequent,
+    proof_from_json,
+    proof_to_json,
     seq,
 )
 
@@ -150,6 +158,46 @@ def test_star_proofs_use_gem():
             yield from rules(sub)
 
     assert Rule.PEIRCE not in set(rules(res.proof))
+
+
+def test_destar_keeps_sharing():
+    s = parse_sequent("~(q | q) => ~((~r | ~r) & (q & r -> r | p))")
+    res = decide(Calculus.SMC_STAR, s, SearchConfig(memo=False))
+    assert res.verdict is Verdict.PROVABLE
+    seen = []
+    fold(res.proof, lambda node, subs: seen.append(node))
+    assert len(seen) < 5_000
+    assert res.proof.node_count() > 10**6
+    text = proof_to_json(res.proof)
+    assert proof_to_json(proof_from_json(text)) == text
+
+
+# decide re-checks what the search returns with explicit checks, so an
+# invalid proof is caught with assertions compiled out too
+_BAD_SEARCH = """
+import connexive.prover as prover
+from connexive.checking import InvalidProof
+from connexive.sequent import Calculus, Rule, SequentProof, parse_sequent
+
+assert False, "assertions are on"
+prover._Search.dfs = lambda self, s, depth: (SequentProof(s, Rule.INIT1), prover._NO_DEP)
+try:
+    prover.decide(Calculus.SC, parse_sequent("p -> p"), prover.SearchConfig(memo=False))
+except InvalidProof as e:
+    print(e)
+else:
+    raise SystemExit("an invalid proof was returned")
+"""
+
+
+def test_decide_rechecks_under_optimize():
+    src = os.path.dirname(os.path.dirname(connexive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_SEARCH], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "init1 succedent must be an atom" in out.stdout
 
 
 def test_memo():

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from connexive.sequent import (
     Sequent,
     SequentProof,
     check_proof,
+    fold,
     identity_proof,
     parse_sequent,
     proof_from_json,
@@ -20,7 +23,10 @@ from connexive.sequent import (
     weaken_proof,
 )
 
-from helpers import rand_formula
+from connexive import sequent
+from connexive.prover import SearchConfig, decide
+
+from helpers import rand_formula, shared_or_chain
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -143,12 +149,128 @@ def test_weaken_rejects_invalid():
         weaken_proof(Calculus.SC, bogus, {r})
 
 
+# a nested proof file, without refs, as written before refs existed
+NESTED = (
+    '{"rule": "and_right", "sequent": {"ctx": ["p & ~q"], "suc": "p & ~q"}, "principal": null, '
+    '"premises": [{"rule": "and_left", "sequent": {"ctx": ["p & ~q"], "suc": "p"}, '
+    '"principal": "p & ~q", "premises": [{"rule": "init1", "sequent": {"ctx": ["p", "~q"], '
+    '"suc": "p"}, "principal": null, "premises": []}]}, {"rule": "and_left", "sequent": '
+    '{"ctx": ["p & ~q"], "suc": "~q"}, "principal": "p & ~q", "premises": [{"rule": "init2", '
+    '"sequent": {"ctx": ["p", "~q"], "suc": "~q"}, "principal": null, "premises": []}]}]}'
+)
+
+
 def test_json_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         proof = identity_proof(Calculus.SC, rand_formula(rng, 7))
         assert proof_from_json(proof_to_json(proof)) == proof
         assert proof_from_json(proof_to_json(proof, indent=2)) == proof
+    # a proof without shared nodes is written as a plain nested tree
+    proof = identity_proof(Calculus.SC, And(p, Neg(q)))
+    assert proof_to_json(proof) == NESTED
+    assert proof_from_json(NESTED) == proof
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2])
+def test_json_text_is_stdlib_json(indent):
+    rng = random.Random(6)
+    proofs = [identity_proof(Calculus.SC, rand_formula(rng, 9)) for _ in range(10)]
+    proofs += [shared_or_chain(4), leaf(Rule.INIT1, [], p)]
+    for proof in proofs:
+        assert proof_to_json(proof, indent) == json.dumps(sequent.proof_to_obj(proof), indent=indent)
+
+
+def distinct_nodes(proof):
+    seen = []
+    fold(proof, lambda node, subs: seen.append(node))
+    return len(seen)
+
+
+def test_fold_visits_shared_nodes_once():
+    chain = shared_or_chain(40)
+    assert distinct_nodes(chain) == 41
+    assert chain.node_count() == 2**41 - 1
+    assert chain.depth() == 41
+    assert chain.is_cut_free()
+    assert check_proof(Calculus.SC, chain).ok
+
+
+def test_check_proof_path_into_shared_dag():
+    """The report names the first failing occurrence in pre-order, here
+    after a premise whose tree has 2^41 nodes."""
+    chain = shared_or_chain(40)
+    ctx, r = chain.conclusion.ctx, chain.conclusion.suc
+    q0 = Var("q0")
+    bad = SequentProof(Sequent(ctx - {Or(q0, q0)} | {q0}, r), Rule.INIT2)
+    second = SequentProof(Sequent(ctx, r), Rule.OR_LEFT, Or(q0, q0), (bad, bad))
+    root = SequentProof(Sequent(ctx, And(r, r)), Rule.AND_RIGHT, None, (chain, second))
+    rep = check_proof(Calculus.SC, root)
+    assert not rep.ok
+    assert rep.path == (1, 0) and rep.rule == "init2"
+    assert rep.reason == "init2 succedent must be a negated atom"
+
+
+def test_json_keeps_sharing():
+    chain = shared_or_chain(40)
+    text = proof_to_json(chain)
+    assert len(text) < 40_000
+    back = proof_from_json(text)
+    assert distinct_nodes(back) == 41
+    assert back.premises[0] is back.premises[1]
+    assert proof_to_json(back) == text
+    assert proof_to_json(proof_from_json(proof_to_json(chain, indent=2))) == text
+
+
+ITEM2 = "~(q | q) => ~((~r | ~r) & (q & r -> r | p))"
+
+
+@pytest.fixture(scope="module")
+def item2_smc():
+    return decide(Calculus.SMC, parse_sequent(ITEM2), SearchConfig(memo=False)).proof
+
+
+def test_check_proof_once_per_distinct_node(item2_smc, monkeypatch):
+    calls = []
+    real = sequent._node_error
+
+    def counting(calc, node):
+        calls.append(node)
+        return real(calc, node)
+
+    monkeypatch.setattr(sequent, "_node_error", counting)
+    assert check_proof(Calculus.SMC, item2_smc).ok
+    assert len(calls) == distinct_nodes(item2_smc) == 241
+    assert item2_smc.node_count() > 10**6
+
+
+def test_json_roundtrip_shared_search_proof(item2_smc):
+    text = proof_to_json(item2_smc, indent=2)
+    back = proof_from_json(text)
+    assert distinct_nodes(back) == 241
+    assert check_proof(Calculus.SMC, back).ok
+    assert proof_to_json(back, indent=2) == text
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1], "must be a JSON object"),
+        ({"rule": "init1", "sequent": {"ctx": "p", "suc": "p"}}, "ctx must be a list"),
+        ({"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}, "premises": "p"}, "premises must be a list"),
+        ({"rule": "init1", "sequent": {"ctx": [1], "suc": "p"}}, "formula must be a string"),
+        ({"rule": "peirce", "sequent": {"ctx": [], "suc": "p"}, "principal": ["p", "q"]}, "formula must be a string"),
+        ({"rule": "init1", "sequent": ["p"]}, "sequent must be a JSON object"),
+        ({"sequent": {"ctx": ["p"], "suc": "p"}}, "missing field 'rule'"),
+        ({"ref": 0}, "names no subproof"),
+        ({"rule": "imp_right", "sequent": {"ctx": [], "suc": "p -> p"}, "premises": [{"ref": 0}]}, "names no subproof"),
+        ({"rule": "or_left", "sequent": {"ctx": ["p"], "suc": "p"}, "principal": "p | p",
+          "premises": [{"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}}, {"ref": True}]}, "names no subproof"),
+    ],
+)
+def test_proof_from_json_rejects_malformed(obj, message):
+    with pytest.raises(ValueError, match=message):
+        proof_from_json(json.dumps(obj))
 
 
 def test_rule_tables():
@@ -156,3 +278,16 @@ def test_rule_tables():
     assert Rule.EX_MIDDLE not in RULES_OF[Calculus.SMC]
     assert Rule.P_EX_MIDDLE in RULES_OF[Calculus.LJP_PEIRCE_PEM]
     assert set(ARITY) == set(Rule)
+
+
+def test_proof_from_json_too_deep():
+    node = '{"rule": "imp_right", "sequent": {"ctx": [], "suc": "p -> p"}, "premises": ['
+    leaf_ = '{"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}}'
+    text = node * 3000 + leaf_ + "]}" * 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        with pytest.raises(ValueError, match="nested too deeply"):
+            proof_from_json(text)
+    finally:
+        sys.setrecursionlimit(limit)
