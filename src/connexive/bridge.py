@@ -216,6 +216,11 @@ _STARRED = {Calculus.SMC: Calculus.SMC_STAR, Calculus.SCN: Calculus.SCN_STAR}
 
 
 def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -> Derivation:
+    """Normal derivation of a cut-free proof's conclusion in the paired ND
+    system.  cfg.node_budget bounds the proof search of the starred
+    re-derivation and also the size of the cut-free proof as a tree:
+    a proof whose tree expansion has more nodes raises ResourceExceeded,
+    so normalize, which ends here, is bounded by it too."""
     if calc in _STARRED:
         # re-derive in the cut-free equivalent starred calculus first
         star = _STARRED[calc]

@@ -164,7 +164,8 @@ class SequentProof:
     premises: tuple["SequentProof", ...] = ()
 
     def is_cut_free(self) -> bool:
-        return fold(self, lambda node, subs: node.rule is not Rule.CUT and all(subs))
+        # a cut at the root settles it without a walk
+        return self.rule is not Rule.CUT and fold(self, lambda node, subs: node.rule is not Rule.CUT and all(subs))
 
     def node_count(self) -> int:
         """Size of the proof as a tree: a shared subproof counts once per
@@ -183,24 +184,33 @@ def fold(proof: SequentProof, combine: Callable[[SequentProof, list[T]], T]) -> 
     runs once per distinct node object, however often it is shared.
 
     Iterative, so proof depth is not bounded by the interpreter's
-    recursion limit.  A node is pushed unexpanded; on its first visit it
-    goes back on the stack as expanded, under its premises, so when it
-    comes up again every premise is done and only the results need
-    collecting."""
+    recursion limit.  A stack entry names a node and the slot of the
+    list that receives its result.  On its first visit a node goes back
+    on the stack with a list for its premises' results, under those
+    premises, so when it comes up again the list is full.  A leaf is
+    combined when its parent is expanded and needs no visit of its own."""
     done: dict[int, T] = {}
-    stack: list[tuple[SequentProof, bool]] = [(proof, False)]
+    root: list = [None]
+    stack: list = [(proof, root, 0, None)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            done[id(node)] = combine(node, [done[id(p)] for p in node.premises])
-        elif id(node) not in done:
-            stack.append((node, True))
-            for p in node.premises:
+        node, into, slot, subs = stack.pop()
+        key = id(node)
+        if subs is not None:
+            into[slot] = done[key] = combine(node, subs)
+        elif key in done:
+            into[slot] = done[key]
+        else:
+            subs = [None] * len(node.premises)
+            stack.append((node, into, slot, subs))
+            for i, p in enumerate(node.premises):
                 if p.premises:
-                    stack.append((p, False))
-                elif id(p) not in done:  # a leaf needs no second visit
-                    done[id(p)] = combine(p, [])
-    return done[id(proof)]
+                    stack.append((p, subs, i, None))
+                else:
+                    k = id(p)
+                    if k not in done:
+                        done[k] = combine(p, [])
+                    subs[i] = done[k]
+    return root[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +534,6 @@ def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
 
 def proof_to_obj(proof: SequentProof) -> dict:
     index: dict[int, int] = {}
-    shown: dict[int, str] = {}  # formulas recur across nodes: print each object once
-
-    def text(f: Formula) -> str:
-        t = shown.get(id(f))
-        if t is None:
-            t = shown[id(f)] = show(f)
-        return t
 
     def emit(node: SequentProof) -> dict:
         k = index.get(id(node))
@@ -539,11 +542,10 @@ def proof_to_obj(proof: SequentProof) -> dict:
         obj = {
             "rule": node.rule.value,
             "sequent": {
-                # the order of sorted_ctx, whose sort key is the printed form
-                "ctx": sorted(text(f) for f in node.conclusion.ctx),
-                "suc": text(node.conclusion.suc),
+                "ctx": [show(f) for f in node.conclusion.sorted_ctx()],
+                "suc": show(node.conclusion.suc),
             },
-            "principal": None if node.principal is None else text(node.principal),
+            "principal": None if node.principal is None else show(node.principal),
             "premises": [emit(p) for p in node.premises],
         }
         index[id(node)] = len(index)
@@ -559,7 +561,6 @@ class _ProofDecoder:
 
     def __init__(self):
         self.table: list[SequentProof] = []
-        self.parsed: dict[str, Formula] = {}  # one object per distinct formula text
 
     def __call__(self, o: dict):
         if "ref" in o:
@@ -585,10 +586,7 @@ class _ProofDecoder:
     def formula(self, text) -> Formula:
         if not isinstance(text, str):
             raise ValueError(f"formula must be a string, got {text!r:.80}")
-        f = self.parsed.get(text)
-        if f is None:
-            f = self.parsed[text] = parse(text, allow_primed=True)
-        return f
+        return parse(text, allow_primed=True)
 
 
 def _require_node(value) -> SequentProof:
@@ -610,49 +608,7 @@ def _list(value, name: str) -> list:
 
 
 def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
-    """The text of json.dumps(proof_to_obj(proof), indent=indent).
-
-    Not left to json.dumps: the text of a deep proof is mostly
-    indentation, which the stdlib encoder copies into every list item
-    before joining them all.  Here each line break and each distinct
-    value is one shared string, so building the text takes little more
-    memory than the text itself."""
-    parts: list[str] = []
-    newline = "" if indent is None else "\n"
-    breaks = [(newline, None)]  # per nesting level: before the first item, before the others
-    atoms: dict = {}
-
-    def atom(value) -> str:
-        text = atoms.get(value)
-        if text is None:
-            text = atoms[value] = json.dumps(value)
-        return text
-
-    def emit(o, level: int) -> None:
-        if not isinstance(o, (dict, list)):
-            parts.append(atom(o))
-            return
-        if not o:
-            parts.append(json.dumps(o))
-            return
-        if len(breaks) == level + 1:
-            pad = newline + " " * (indent or 0) * (level + 1)
-            breaks.append((pad, ("," if indent is not None else ", ") + pad))
-        first, later = breaks[level + 1]
-        keyed = isinstance(o, dict)
-        parts.append("{" if keyed else "[")
-        for i, item in enumerate(o.items() if keyed else o):
-            parts.append(later if i else first)
-            if keyed:
-                parts.append(atom(item[0]))
-                parts.append(": ")
-                item = item[1]
-            emit(item, level + 1)
-        parts.append(breaks[level][0])
-        parts.append("}" if keyed else "]")
-
-    emit(proof_to_obj(proof), 0)
-    return "".join(parts)
+    return json.dumps(proof_to_obj(proof), indent=indent)
 
 
 def proof_from_json(text: str) -> SequentProof:

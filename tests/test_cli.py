@@ -165,6 +165,20 @@ def test_transform_normalize_and_reduce(capsys, tmp_path):
     assert derivation_from_json(out) == assumption(p)
 
 
+def test_transform_normalize_budget_caps_tree(capsys, tmp_path):
+    """The node budget also caps the tree size of the cut-free proof that
+    normalize translates back; this one has 2 nodes and needs no search."""
+    d = Derivation(NdRule.IMP_I, Imp(p, p), (assumption(p, 1),), 1)
+    path = tmp_path / "d.json"
+    path.write_text(derivation_to_json(d))
+    code, out, err = run(capsys, "transform", "normalize", str(path), "--system", "nc", "--budget", "1")
+    assert code == 3
+    assert out == "" and "node budget" in err
+    code, out, _ = run(capsys, "transform", "normalize", str(path), "--system", "nc", "--budget", "2")
+    assert code == 0
+    assert derivation_from_json(out).rule is NdRule.IMP_I
+
+
 def test_transform_weaken_and_cutfree(capsys, tmp_path):
     code, out, _ = run(capsys, "prove", "sc", "p -> p")
     path = tmp_path / "p.json"

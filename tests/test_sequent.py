@@ -172,15 +172,6 @@ def test_json_roundtrip():
     assert proof_from_json(NESTED) == proof
 
 
-@pytest.mark.parametrize("indent", [None, 0, 2])
-def test_json_text_is_stdlib_json(indent):
-    rng = random.Random(6)
-    proofs = [identity_proof(Calculus.SC, rand_formula(rng, 9)) for _ in range(10)]
-    proofs += [shared_or_chain(4), leaf(Rule.INIT1, [], p)]
-    for proof in proofs:
-        assert proof_to_json(proof, indent) == json.dumps(sequent.proof_to_obj(proof), indent=indent)
-
-
 def distinct_nodes(proof):
     seen = []
     fold(proof, lambda node, subs: seen.append(node))
