@@ -1,4 +1,5 @@
-"""Shared result type for the proof and derivation checkers."""
+"""Shared result type for the proof and derivation checkers, and the
+field checks shared by their JSON readers."""
 
 from __future__ import annotations
 
@@ -31,3 +32,15 @@ class InvalidProof(ValueError):
     def __init__(self, report: CheckReport):
         super().__init__(report.message())
         self.report = report
+
+
+def json_field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    return obj[name]
+
+
+def json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r:.80}")
+    return value

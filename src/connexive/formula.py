@@ -4,6 +4,15 @@ The connexive language has atoms, & (conjunction), | (disjunction),
 -> (implication), and ~ (strong negation).  Primed atoms (p') form a
 disjoint namespace used only by the negation-eliminating translation
 into the positive intuitionistic target language.
+
+Formulas are immutable trees.  Each node stores its hash, computed once
+at construction from its children's stored hashes, and its ASCII text,
+filled in by show() on first use; so hashing a formula and sorting by
+key() cost O(1) however deep it is.  The stored hash equals the hash of
+the tuple of the node's fields, e.g. hash(And(a, b)) == hash((a, b)),
+which is what a frozen dataclass computes: set and dict iteration order,
+and with it search order and proof output, do not depend on the stored
+hash being there.  Equality stays structural.
 """
 
 from __future__ import annotations
@@ -27,12 +36,32 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # fills the stored fields of a frozen node
+
+
 class Formula:
-    pass
+    """Base of the node classes; holds the stored hash and text."""
+
+    __slots__ = ("_hash", "_text")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt by the constructor: a stored hash of str fields is only
+        # valid in the process that computed it
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen, slotted dataclass that keeps Formula.__hash__.  A frozen
+    dataclass writes a field-walking __hash__ into every class unless the
+    class body defines one, so it is put there first."""
+    cls.__hash__ = Formula.__hash__
+    return dataclass(frozen=True, slots=True)(cls)
+
+
+@_node
 class Var(Formula):
     name: str
     primed: bool = False
@@ -40,29 +69,42 @@ class Var(Formula):
     def __post_init__(self):
         if not _ATOM_RE.fullmatch(self.name):
             raise ValueError(f"bad atom name: {self.name!r}")
+        _set(self, "_hash", hash((self.name, self.primed)))
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.left, self.right)))
 
-@dataclass(frozen=True)
+
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.left, self.right)))
 
-@dataclass(frozen=True)
+
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.left, self.right)))
 
-@dataclass(frozen=True)
+
+@_node
 class Neg(Formula):
     body: Formula
+
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.body,)))
 
 
 def size(phi: Formula) -> int:
@@ -107,9 +149,16 @@ _UNICODE = {"neg": "∼", "and": " ∧ ", "or": " ∨ ", "imp": " → "}
 
 
 def show(phi: Formula, unicode: bool = False) -> str:
-    """Minimal-parenthesis rendering of a formula."""
-    sym = _UNICODE if unicode else _ASCII
-    return _show(phi, sym)
+    """Minimal-parenthesis rendering of a formula.  The ASCII text is
+    stored on the node the first time it is asked for."""
+    if unicode:
+        return _show(phi, _UNICODE)
+    try:
+        return phi._text
+    except AttributeError:
+        text = _show(phi, _ASCII)
+        _set(phi, "_text", text)
+        return text
 
 
 def _show(phi: Formula, sym: dict) -> str:
@@ -139,12 +188,12 @@ def _prec(phi: Formula) -> int:
 
 
 def _sub(phi: Formula, need: int, sym: dict) -> str:
-    s = _show(phi, sym)
+    s = show(phi) if sym is _ASCII else _show(phi, sym)
     return s if _prec(phi) >= need else "(" + s + ")"
 
 
 def key(phi: Formula) -> str:
-    """Deterministic sort key for formulas."""
+    """Deterministic sort key for formulas: the stored ASCII text."""
     return show(phi)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .checking import ACCEPT, CheckReport, InvalidProof
+from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, parse, show
 
 
@@ -503,12 +503,25 @@ def derivation_to_obj(d: Derivation) -> dict:
 
 
 def derivation_from_obj(obj: dict) -> Derivation:
-    rule = NdRule(obj["rule"])
-    phi = parse(obj["formula"])
+    """Inverse of derivation_to_obj.  Malformed input raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
+    rule = NdRule(json_field(obj, "rule"))
+    text = json_field(obj, "formula")
+    if not isinstance(text, str):
+        raise ValueError(f"formula must be a string, got {text!r:.80}")
+    phi = parse(text)
     if rule is NdRule.ASSUMPTION:
-        return Derivation(rule, phi, label=obj.get("label"))
-    prems = tuple(derivation_from_obj(p) for p in obj.get("premises", []))
-    return Derivation(rule, phi, prems, obj.get("discharge"))
+        return Derivation(rule, phi, label=_label(obj, "label"))
+    prems = tuple(derivation_from_obj(p) for p in json_list(obj.get("premises", []), "premises"))
+    return Derivation(rule, phi, prems, _label(obj, "discharge"))
+
+
+def _label(obj: dict, name: str) -> int | None:
+    value = obj.get(name)
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{name} must be an integer or null, got {value!r:.80}")
+    return value
 
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
@@ -516,4 +529,7 @@ def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
 
 
 def derivation_from_json(text: str) -> Derivation:
-    return derivation_from_obj(json.loads(text))
+    try:
+        return derivation_from_obj(json.loads(text))
+    except RecursionError:
+        raise ValueError("derivation file is nested too deeply") from None

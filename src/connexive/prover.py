@@ -47,6 +47,7 @@ from .formula import (
     has_negation,
     has_primed,
     key,
+    show,
 )
 from .sequent import (
     CONNEXIVE_CALCULI,
@@ -371,8 +372,9 @@ class _Search:
         if any(p == s for p in prems):
             return None
         for p in prems:
-            for f in p.ctx | {p.suc}:
-                assert self._covered(f), f"universe escape: {f}"
+            for f in (*p.ctx, p.suc):
+                if not self._covered(f):
+                    raise RuntimeError(f"proof search left its universe: {show(f)}")
         return (rule, principal, prems)
 
     def _covered(self, f: Formula) -> bool:

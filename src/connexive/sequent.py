@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, TypeVar
 
-from .checking import ACCEPT, CheckReport, InvalidProof
+from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
 
 
@@ -557,10 +557,13 @@ def proof_to_obj(proof: SequentProof) -> dict:
 class _ProofDecoder:
     """Builds proof nodes as the JSON decoder finishes each object,
     innermost first, so the decoded object tree is never held whole.
-    That is also the order in which refs number the nodes."""
+    That is also the order in which refs number the nodes.  Each distinct
+    formula text is parsed once per file, and every occurrence of it gets
+    the same object."""
 
     def __init__(self):
         self.table: list[SequentProof] = []
+        self.formulas: dict[str, Formula] = {}
 
     def __call__(self, o: dict):
         if "ref" in o:
@@ -569,14 +572,14 @@ class _ProofDecoder:
                 raise ValueError(f"ref {k!r:.80} names no subproof read before it")
             return self.table[k]
         if not ("rule" in o or "sequent" in o or "premises" in o):
-            return seq(map(self.formula, _list(_field(o, "ctx"), "ctx")), self.formula(_field(o, "suc")))
-        rule = Rule(_field(o, "rule"))
-        conclusion = _field(o, "sequent")
+            return seq(map(self.formula, json_list(json_field(o, "ctx"), "ctx")), self.formula(json_field(o, "suc")))
+        rule = Rule(json_field(o, "rule"))
+        conclusion = json_field(o, "sequent")
         if not isinstance(conclusion, Sequent):
             raise ValueError("sequent must be a JSON object with ctx and suc")
         raw = o.get("principal")
         principal = None if raw is None else self.formula(raw)
-        premises = tuple(_list(o.get("premises", []), "premises"))
+        premises = tuple(json_list(o.get("premises", []), "premises"))
         for p in premises:
             _require_node(p)
         node = SequentProof(conclusion, rule, principal, premises)
@@ -586,24 +589,15 @@ class _ProofDecoder:
     def formula(self, text) -> Formula:
         if not isinstance(text, str):
             raise ValueError(f"formula must be a string, got {text!r:.80}")
-        return parse(text, allow_primed=True)
+        phi = self.formulas.get(text)
+        if phi is None:
+            phi = self.formulas[text] = parse(text, allow_primed=True)
+        return phi
 
 
 def _require_node(value) -> SequentProof:
     if not isinstance(value, SequentProof):
         raise ValueError(f"proof node must be a JSON object with a rule, got {value!r:.80}")
-    return value
-
-
-def _field(obj: dict, name: str):
-    if name not in obj:
-        raise ValueError(f"missing field {name!r}")
-    return obj[name]
-
-
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a list, got {value!r:.80}")
     return value
 
 

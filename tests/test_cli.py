@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -114,6 +115,36 @@ def test_check_malformed_proof(capsys, monkeypatch, text):
     code, out, err = run(capsys, "check", "sc", "sc", "-")
     assert code == 2
     assert out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "must be a JSON object"),
+        ("null", "must be a JSON object"),
+        ('{"formula": "p"}', "missing field 'rule'"),
+        ('{"rule": "bogus", "formula": "p"}', "not a valid"),
+        ('{"rule": "assumption"}', "missing field 'formula'"),
+        ('{"rule": "assumption", "formula": ["p"]}', "formula must be a string"),
+        ('{"rule": "imp_I", "formula": "p -> p", "discharge": 1, "premises": "p"}', "premises must be a list"),
+        ('{"rule": "imp_I", "formula": "p -> p", "discharge": 1, "premises": [7]}', "must be a JSON object"),
+        ('{"rule": "imp_I", "formula": "p -> p", "discharge": [1], "premises": []}', "discharge must be an integer"),
+        ('{"rule": "assumption", "formula": "p", "label": "x"}', "label must be an integer"),
+        ("[" * 3000 + "]" * 3000, "nested too deeply"),
+    ],
+)
+def test_check_malformed_derivation(capsys, monkeypatch, text, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        code, out, err = run(capsys, "check", "nd", "nc", "-")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_shared_proof_file(capsys, tmp_path):

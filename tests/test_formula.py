@@ -1,4 +1,6 @@
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from connexive.formula import (
     closure_set,
     has_negation,
     has_primed,
+    key,
     parse,
     show,
     size,
@@ -103,3 +106,44 @@ def test_closure_idempotent():
 def test_closure_without_negations():
     got = closure_set({Imp(p, q)}, add_negations=False)
     assert got == {Imp(p, q), p, q}
+
+
+def test_deep_formula_hashes_in_constant_depth():
+    phi = p
+    for i in range(5000):
+        phi = Neg(phi) if i % 2 else Imp(q, phi)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        hashed = phi in {phi, p}
+    except RecursionError:
+        hashed = False  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hashed, "hashing a 5,000-deep formula recursed"
+
+
+def test_stored_hash_is_the_field_tuple_hash():
+    # the hash a frozen dataclass would compute, so set iteration order,
+    # search order and proof output do not depend on the stored hash
+    x, y = Neg(p), Or(q, r)
+    for conn in (And, Or, Imp):
+        assert hash(conn(x, y)) == hash((x, y))
+    assert hash(Neg(x)) == hash((x,))
+    assert hash(Var("p", True)) == hash(("p", True))
+    assert hash(Var("q")) == hash(("q", False))
+
+
+def test_pickle_rebuilds_stored_fields():
+    phi = Imp(And(p, Neg(q)), Or(r, p))
+    show(phi)
+    back = pickle.loads(pickle.dumps(phi))
+    assert back == phi and hash(back) == hash(phi)
+    assert show(back) == show(phi)
+
+
+def test_key_is_show():
+    rng = random.Random(3)
+    for _ in range(300):
+        phi = rand_formula(rng, 30)
+        assert key(phi) == show(phi)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -198,6 +199,51 @@ def test_decide_rechecks_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert "init1 succedent must be an atom" in out.stdout
+
+
+# the universe-escape check in _Search._emit is explicit too
+_ESCAPE = """
+import connexive.prover as prover
+from connexive.sequent import Calculus, parse_sequent
+
+assert False, "assertions are on"
+build = prover._Search._build_universe
+prover._Search._build_universe = lambda self, goal: build(self, goal) - goal.ctx
+try:
+    prover.decide(Calculus.SC, parse_sequent("p & q => p"), prover.SearchConfig(memo=False))
+except RuntimeError as e:
+    print(e)
+else:
+    raise SystemExit("a universe escape went unnoticed")
+"""
+
+
+def test_universe_escape_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(connexive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _ESCAPE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "left its universe: p & q" in out.stdout
+
+
+def test_proof_json_digest_unchanged():
+    """decide's verdicts and proof JSON on a fixed corpus hash to the digest
+    recorded by running this same loop on commit 80e5207, a checkout made
+    before formulas stored their hash and text.  Search order follows set
+    iteration order and sort keys, so this holds both to what they were."""
+    rng = random.Random(7)
+    corpus = [rand_sequent(rng, 10) for _ in range(300)]
+    cfg = SearchConfig(memo=False)
+    digest = hashlib.sha256()
+    for s in corpus:
+        for calc in sorted(CONNEXIVE_CALCULI):
+            res = decide(calc, s, cfg)
+            digest.update(res.verdict.value.encode())
+            if res.proof is not None:
+                digest.update(proof_to_json(res.proof, indent=2).encode())
+    assert digest.hexdigest() == "dba1b298672b3626432257b40c815656ecec03ebf011b544e83300b34a715dee"
 
 
 def test_memo():

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from connexive.checking import InvalidProof
-from connexive.formula import And, Imp, Neg, Or, Var
+from connexive.formula import And, Imp, Neg, Or, Var, show
 from connexive.sequent import (
     ARITY,
     RULES_OF,
@@ -241,6 +241,20 @@ def test_json_roundtrip_shared_search_proof(item2_smc):
     assert distinct_nodes(back) == 241
     assert check_proof(Calculus.SMC, back).ok
     assert proof_to_json(back, indent=2) == text
+
+
+def test_proof_from_json_shares_formulas(item2_smc):
+    back = proof_from_json(proof_to_json(item2_smc))
+    formulas = []
+
+    def collect(node, subs):
+        formulas.extend(node.conclusion.ctx)
+        formulas.append(node.conclusion.suc)
+        if node.principal is not None:
+            formulas.append(node.principal)
+
+    fold(back, collect)
+    assert len({id(f) for f in formulas}) == len({show(f) for f in formulas})
 
 
 @pytest.mark.parametrize(
