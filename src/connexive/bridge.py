@@ -22,6 +22,8 @@ from .natded import (
     Derivation,
     NdRule,
     NdSystem,
+    _em_alpha,
+    _gem_witness,
     assumption,
     bind_open,
     check_derivation,
@@ -49,9 +51,6 @@ PAIRED_CALCULUS = {
     NdSystem.NCN: Calculus.SCN_STAR,
 }
 PAIRED_SYSTEM = {calc: sys_id for sys_id, calc in PAIRED_CALCULUS.items()}
-
-# principal formula recovery for the discharging translations
-from .natded import _em_alpha, _gem_witness  # noqa: E402
 
 
 def _oa_rel(d: Derivation) -> frozenset[Formula]:

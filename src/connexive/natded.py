@@ -198,10 +198,12 @@ def check_derivation(sys_id: NdSystem, d: Derivation) -> CheckReport:
             if n.discharge in seen:
                 return CheckReport(False, path, n.rule.value, f"duplicate discharge label {n.discharge}")
             seen[n.discharge] = path
+    leaf_count: dict[int, int] = {}
     for path, n in _walk(d):
-        if n.rule is NdRule.ASSUMPTION and n.label is not None and n.label not in seen:
-            return CheckReport(False, path, n.rule.value, f"leaf label {n.label} has no discharging node")
-    leaf_count = {l: len(_bound_leaves(d, l)) for l in seen}
+        if n.rule is NdRule.ASSUMPTION and n.label is not None:
+            if n.label not in seen:
+                return CheckReport(False, path, n.rule.value, f"leaf label {n.label} has no discharging node")
+            leaf_count[n.label] = leaf_count.get(n.label, 0) + 1
     return _check_node(table, d, (), leaf_count)
 
 

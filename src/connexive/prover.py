@@ -20,10 +20,12 @@ present, so any sequent refuted by some valuation is unprovable and its
 subtree is skipped.  The filter only removes unprovable nodes, so
 completeness is untouched; its rule-wise soundness is property-tested.
 
-Invertible rules are applied eagerly (one committed instance per node);
-this is completeness-preserving because each such rule's premises are
-interderivable with its conclusion via cut, weakening, and identity,
-all admissible in every calculus here.
+Rule premises come from sequent.SCHEMAS, the table the checker reads;
+the search only chooses which rules to try, by the shape of the formula
+each decomposes.  Invertible rules are applied eagerly (one committed
+instance per node); this is completeness-preserving because each such
+rule's premises are interderivable with its conclusion via cut,
+weakening, and identity, all admissible in every calculus here.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .checking import InvalidProof
 from .formula import (
@@ -52,6 +55,7 @@ from .formula import (
 from .sequent import (
     CONNEXIVE_CALCULI,
     RULES_OF,
+    SCHEMAS,
     Calculus,
     Rule,
     Sequent,
@@ -59,6 +63,7 @@ from .sequent import (
     check_proof,
     fold,
     identity_proof,
+    shape,
 )
 
 
@@ -108,21 +113,28 @@ _MEMO_LOCK = threading.Lock()
 # the (Peirce) nodes are rewritten into (g-ex-middle) nodes
 _UNSTAR = {Calculus.SMC_STAR: Calculus.SMC, Calculus.SCN_STAR: Calculus.SCN}
 
-# invertible rules, committed eagerly in this order
-_RIGHT_INVERTIBLE = (
-    Rule.AND_RIGHT,
-    Rule.IMP_RIGHT,
-    Rule.NEG_RIGHT,
-    Rule.NEG_IMP_RIGHT,
-    Rule.NEG_OR_RIGHT,
-)
-_LEFT_INVERTIBLE = (
-    Rule.AND_LEFT,
-    Rule.NEG_OR_LEFT,
-    Rule.NEG_LEFT,
-    Rule.OR_LEFT,
-    Rule.NEG_AND_LEFT,
-)
+# candidate rules by the shape of the formula they decompose, the
+# succedent (right) or a context formula (left), as (invertible rules,
+# committed eagerly; choices, each tried in turn)
+_RIGHT = {
+    And: ((Rule.AND_RIGHT,), ()),
+    Or: ((), (Rule.OR_RIGHT1, Rule.OR_RIGHT2)),
+    Imp: ((Rule.IMP_RIGHT,), ()),
+    (Neg, Neg): ((Rule.NEG_RIGHT,), ()),
+    (Neg, And): ((), (Rule.NEG_AND_RIGHT1, Rule.NEG_AND_RIGHT2)),
+    (Neg, Or): ((Rule.NEG_OR_RIGHT,), ()),
+    (Neg, Imp): ((Rule.NEG_IMP_RIGHT,), ()),
+}
+_LEFT = {
+    And: ((Rule.AND_LEFT,), ()),
+    Or: ((Rule.OR_LEFT,), ()),
+    Imp: ((), (Rule.IMP_LEFT,)),
+    (Neg, Neg): ((Rule.NEG_LEFT,), ()),
+    (Neg, And): ((Rule.NEG_AND_LEFT,), ()),
+    (Neg, Or): ((Rule.NEG_OR_LEFT,), ()),
+    (Neg, Imp): ((), (Rule.NEG_IMP_LEFT,)),
+}
+_NO_RULES = ((), ())
 
 
 def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> ProveResult:
@@ -360,12 +372,42 @@ class _Search:
         """All rule instances with the node's full context retained in
         every premise (G3-style).  Instances with a premise equal to the
         node itself are dropped: any proof through such an instance
-        contains a smaller proof of the node in that premise."""
-        first = self._invertible(s)
+        contains a smaller proof of the node in that premise.  The first
+        instance of an invertible rule is the only one tried."""
+        right_inv, right_choice = _RIGHT.get(shape(s.suc), _NO_RULES)
+        first = next(self._apply(s, [(right_inv, None)]), None)
+        if first is None:
+            left = [(_LEFT.get(shape(phi), _NO_RULES), phi) for phi in sorted(s.ctx, key=key)]
+            first = next(self._apply(s, [(inv, phi) for (inv, _), phi in left]), None)
         if first is not None:
             yield first
             return
-        yield from self._choices(s)
+        yield from self._apply(s, [(right_choice, None)] + [(choice, phi) for (_, choice), phi in left])
+        if Rule.EX_MIDDLE in self.rules:
+            # atomic instantiation only (at-ex-middle form)
+            yield from self._apply(s, (((Rule.EX_MIDDLE,), p) for p in self._ordered[1]))
+        if Rule.PEIRCE in self.rules:
+            # alpha is fixed by the goal succedent; beta ranges over the universe
+            yield from self._apply(s, (((Rule.PEIRCE,), Imp(s.suc, beta)) for beta in self._ordered[0]))
+        if Rule.P_EX_MIDDLE in self.rules:
+            yield from self._apply(s, (((Rule.P_EX_MIDDLE,), p) for p in self._ordered[1]))
+
+    @cached_property
+    def _ordered(self) -> tuple[list[Formula], list[Var]]:
+        """The universe sorted by key, and its unprimed atoms in that
+        order: sorted once per search, when a node first needs them."""
+        uni = sorted(self.universe, key=key)
+        return uni, [p for p in uni if isinstance(p, Var) and not p.primed]
+
+    def _apply(self, s: Sequent, candidates):
+        """Instances of the calculus's rules among candidates, pairs of
+        (rules, principal), built from the schema table."""
+        for rules, principal in candidates:
+            for rule in rules:
+                if rule in self.rules:
+                    inst = self._emit(s, rule, principal, SCHEMAS[rule](s.suc, principal))
+                    if inst is not None:
+                        yield inst
 
     def _emit(self, s, rule, principal, prem_specs):
         prems = tuple(Sequent(s.ctx | frozenset(a), g) for a, g in prem_specs)
@@ -386,100 +428,6 @@ class _Search:
         if f in self.universe:
             return True
         return isinstance(f, Imp) and f.left in self.universe and f.right in self.universe
-
-    def _invertible(self, s: Sequent):
-        g = s.suc
-        for rule in _RIGHT_INVERTIBLE:
-            if rule not in self.rules:
-                continue
-            inst = None
-            if rule is Rule.AND_RIGHT and isinstance(g, And):
-                inst = self._emit(s, rule, None, [((), g.left), ((), g.right)])
-            elif rule is Rule.IMP_RIGHT and isinstance(g, Imp):
-                inst = self._emit(s, rule, None, [((g.left,), g.right)])
-            elif rule is Rule.NEG_RIGHT and isinstance(g, Neg) and isinstance(g.body, Neg):
-                inst = self._emit(s, rule, None, [((), g.body.body)])
-            elif rule is Rule.NEG_IMP_RIGHT and isinstance(g, Neg) and isinstance(g.body, Imp):
-                inst = self._emit(s, rule, None, [((g.body.left,), Neg(g.body.right))])
-            elif rule is Rule.NEG_OR_RIGHT and isinstance(g, Neg) and isinstance(g.body, Or):
-                inst = self._emit(
-                    s, rule, None, [((), Neg(g.body.left)), ((), Neg(g.body.right))]
-                )
-            if inst is not None:
-                return inst
-        for phi in sorted(s.ctx, key=key):
-            for rule in _LEFT_INVERTIBLE:
-                if rule not in self.rules:
-                    continue
-                inst = None
-                if rule is Rule.AND_LEFT and isinstance(phi, And):
-                    inst = self._emit(s, rule, phi, [((phi.left, phi.right), g)])
-                elif rule is Rule.NEG_OR_LEFT and isinstance(phi, Neg) and isinstance(phi.body, Or):
-                    inst = self._emit(
-                        s, rule, phi, [((Neg(phi.body.left), Neg(phi.body.right)), g)]
-                    )
-                elif rule is Rule.NEG_LEFT and isinstance(phi, Neg) and isinstance(phi.body, Neg):
-                    inst = self._emit(s, rule, phi, [((phi.body.body,), g)])
-                elif rule is Rule.OR_LEFT and isinstance(phi, Or):
-                    inst = self._emit(s, rule, phi, [((phi.left,), g), ((phi.right,), g)])
-                elif rule is Rule.NEG_AND_LEFT and isinstance(phi, Neg) and isinstance(phi.body, And):
-                    inst = self._emit(
-                        s, rule, phi, [((Neg(phi.body.left),), g), ((Neg(phi.body.right),), g)]
-                    )
-                if inst is not None:
-                    return inst
-        return None
-
-    def _choices(self, s: Sequent):
-        g = s.suc
-        rules = self.rules
-        if isinstance(g, Or):
-            yield from filter(None, (
-                self._emit(s, Rule.OR_RIGHT1, None, [((), g.left)]),
-                self._emit(s, Rule.OR_RIGHT2, None, [((), g.right)]),
-            ))
-        if Rule.NEG_AND_RIGHT1 in rules and isinstance(g, Neg) and isinstance(g.body, And):
-            yield from filter(None, (
-                self._emit(s, Rule.NEG_AND_RIGHT1, None, [((), Neg(g.body.left))]),
-                self._emit(s, Rule.NEG_AND_RIGHT2, None, [((), Neg(g.body.right))]),
-            ))
-        for phi in sorted(s.ctx, key=key):
-            if isinstance(phi, Imp):
-                inst = self._emit(s, Rule.IMP_LEFT, phi, [((), phi.left), ((phi.right,), g)])
-                if inst is not None:
-                    yield inst
-            if Rule.NEG_IMP_LEFT in rules and isinstance(phi, Neg) and isinstance(phi.body, Imp):
-                inst = self._emit(
-                    s,
-                    Rule.NEG_IMP_LEFT,
-                    phi,
-                    [((), phi.body.left), ((Neg(phi.body.right),), g)],
-                )
-                if inst is not None:
-                    yield inst
-        sorted_uni = sorted(self.universe, key=key)
-        if Rule.EX_MIDDLE in rules:
-            # atomic instantiation only (at-ex-middle form)
-            for p in sorted_uni:
-                if isinstance(p, Var) and not p.primed:
-                    inst = self._emit(s, Rule.EX_MIDDLE, p, [((Neg(p),), g), ((p,), g)])
-                    if inst is not None:
-                        yield inst
-        if Rule.PEIRCE in rules:
-            # alpha is fixed by the goal succedent; beta ranges over the universe
-            for beta in sorted_uni:
-                wit = Imp(g, beta)
-                inst = self._emit(s, Rule.PEIRCE, wit, [((wit,), g)])
-                if inst is not None:
-                    yield inst
-        if Rule.P_EX_MIDDLE in rules:
-            for p in sorted_uni:
-                if isinstance(p, Var) and not p.primed:
-                    inst = self._emit(
-                        s, Rule.P_EX_MIDDLE, p, [((Var(p.name, True),), g), ((p,), g)]
-                    )
-                    if inst is not None:
-                        yield inst
 
 
 def eliminate_cut(calc: Calculus, proof: SequentProof, cfg: SearchConfig | None = None) -> SequentProof:

@@ -1,5 +1,11 @@
 """Sequents, rule-annotated sequent proofs, per-calculus rule tables,
-the proof checker, constructive weakening, and generalized identity.
+the rule schemas, the proof checker, constructive weakening, and
+generalized identity.
+
+SCHEMAS is the one definition of the rules other than the two axioms:
+for each rule it builds the premises from the succedent and the
+principal formula.  The checker here and the proof search in prover
+both read it, so a rule cannot be searched one way and checked another.
 
 Contexts are finite *sets*; the checker validates each node's context
 against the set equation its rule schema determines, so contraction and
@@ -15,7 +21,7 @@ from enum import Enum
 from typing import Callable, Iterable, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
-from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
+from .formula import And, Formula, Imp, Neg, Or, Var, has_negation, key, parse, show
 
 
 class Calculus(str, Enum):
@@ -127,6 +133,65 @@ CONNEXIVE_CALCULI = frozenset(
 )
 
 
+# ---------------------------------------------------------------------------
+# Rule schemas.  An entry maps (succedent, principal) to the G3 premise
+# specs [(formulas added to the context, succedent), ...], or None when
+# the formulas do not fit the schema.  Right rules decompose the
+# succedent and ignore the principal; the principal of a left rule must
+# occur in the conclusion's context; the other rules instantiate it
+# freely.
+
+
+def shape(phi: Formula) -> type | tuple[type, type]:
+    """The main connective, or ~ together with the body's connective."""
+    return (Neg, type(phi.body)) if type(phi) is Neg else type(phi)
+
+
+def _neg_of(phi: Formula | None, cls: type) -> bool:
+    return isinstance(phi, Neg) and isinstance(phi.body, cls)
+
+
+SCHEMAS: dict[Rule, Callable[[Formula, Formula | None], list | None]] = {
+    Rule.CUT: lambda g, a: [((), a), ((a,), g)],
+    Rule.IMP_RIGHT: lambda g, _: [((g.left,), g.right)] if isinstance(g, Imp) else None,
+    Rule.AND_RIGHT: lambda g, _: [((), g.left), ((), g.right)] if isinstance(g, And) else None,
+    Rule.OR_RIGHT1: lambda g, _: [((), g.left)] if isinstance(g, Or) else None,
+    Rule.OR_RIGHT2: lambda g, _: [((), g.right)] if isinstance(g, Or) else None,
+    Rule.NEG_RIGHT: lambda g, _: [((), g.body.body)] if _neg_of(g, Neg) else None,
+    Rule.NEG_IMP_RIGHT: lambda g, _: [((g.body.left,), Neg(g.body.right))] if _neg_of(g, Imp) else None,
+    Rule.NEG_AND_RIGHT1: lambda g, _: [((), Neg(g.body.left))] if _neg_of(g, And) else None,
+    Rule.NEG_AND_RIGHT2: lambda g, _: [((), Neg(g.body.right))] if _neg_of(g, And) else None,
+    Rule.NEG_OR_RIGHT: lambda g, _: [((), Neg(g.body.left)), ((), Neg(g.body.right))] if _neg_of(g, Or) else None,
+    Rule.IMP_LEFT: lambda g, a: [((), a.left), ((a.right,), g)] if isinstance(a, Imp) else None,
+    Rule.AND_LEFT: lambda g, a: [((a.left, a.right), g)] if isinstance(a, And) else None,
+    Rule.OR_LEFT: lambda g, a: [((a.left,), g), ((a.right,), g)] if isinstance(a, Or) else None,
+    Rule.NEG_LEFT: lambda g, a: [((a.body.body,), g)] if _neg_of(a, Neg) else None,
+    Rule.NEG_IMP_LEFT: lambda g, a: [((), a.body.left), ((Neg(a.body.right),), g)] if _neg_of(a, Imp) else None,
+    Rule.NEG_AND_LEFT: lambda g, a: [((Neg(a.body.left),), g), ((Neg(a.body.right),), g)] if _neg_of(a, And) else None,
+    Rule.NEG_OR_LEFT: lambda g, a: [((Neg(a.body.left), Neg(a.body.right)), g)] if _neg_of(a, Or) else None,
+    Rule.EX_MIDDLE: lambda g, a: [((Neg(a),), g), ((a,), g)],
+    # (Peirce) instantiates alpha -> beta with alpha the succedent
+    Rule.PEIRCE: lambda g, a: [((a,), g)] if isinstance(a, Imp) and a.left == g else None,
+    Rule.G_EX_MIDDLE: lambda g, a: [((a,), g), ((a.left,), g)] if isinstance(a, Imp) else None,
+    Rule.P_EX_MIDDLE: lambda g, a: (
+        [((Var(a.name, True),), g), ((a,), g)] if isinstance(a, Var) and not a.primed else None
+    ),
+}
+
+# the rules whose principal is the succedent
+RIGHT_RULES = frozenset({
+    Rule.IMP_RIGHT, Rule.AND_RIGHT, Rule.OR_RIGHT1, Rule.OR_RIGHT2, Rule.NEG_RIGHT,
+    Rule.NEG_IMP_RIGHT, Rule.NEG_AND_RIGHT1, Rule.NEG_AND_RIGHT2, Rule.NEG_OR_RIGHT,
+})
+# the rules whose principal must be in the conclusion's context
+LEFT_RULES = frozenset({
+    Rule.AND_LEFT, Rule.OR_LEFT, Rule.NEG_LEFT, Rule.NEG_AND_LEFT,
+    Rule.NEG_OR_LEFT, Rule.IMP_LEFT, Rule.NEG_IMP_LEFT,
+})
+# premise 1 owns one context and premise 2 another
+_SPLIT_RULES = frozenset({Rule.CUT, Rule.IMP_LEFT, Rule.NEG_IMP_LEFT})
+
+
 @dataclass(frozen=True)
 class Sequent:
     ctx: frozenset[Formula]
@@ -234,10 +299,6 @@ def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     return fold(proof, combine)
 
 
-def _mismatch(expected: Sequent, actual: Sequent) -> str:
-    return f"schema mismatch: expected {expected}, got {actual}"
-
-
 def _shared_ok(c: frozenset, phi: Formula | None, prems, specs) -> bool:
     """Rules with one shared context Gamma.  specs: [(active set, succedent)].
     Gamma is read off the conclusion: c minus the principal, or c itself
@@ -249,18 +310,17 @@ def _shared_ok(c: frozenset, phi: Formula | None, prems, specs) -> bool:
     return False
 
 
-def _split_ok(c, phi, p1, p1_suc, p2, active2, p2_suc, g) -> bool:
+def _split_ok(c: frozenset, head: frozenset, prems, specs) -> bool:
     """Two-context rules (cut, -> left, ~-> left): premise1 owns Gamma,
-    premise2 owns Delta plus its active formula."""
-    if p1.suc != p1_suc or p2.suc != p2_suc or g != p2_suc:
-        return False
-    if not frozenset(active2) <= p2.ctx:
-        return False
-    head = frozenset() if phi is None else frozenset({phi})
-    for delta in (p2.ctx - frozenset(active2), p2.ctx):
-        if c == head | p1.ctx | delta:
-            return True
-    return False
+    premise2 owns Delta; each premise context may keep its active
+    formulas, and head (the principal, if any) joins them below."""
+    parts = []
+    for p, (a, s) in zip(prems, specs):
+        a = frozenset(a)
+        if p.suc != s or not a <= p.ctx:
+            return False
+        parts.append((p.ctx - a, p.ctx))
+    return any(c == head | gamma | delta for gamma in parts[0] for delta in parts[1])
 
 
 def _node_error(calc: Calculus, node: SequentProof) -> str | None:
@@ -271,7 +331,6 @@ def _node_error(calc: Calculus, node: SequentProof) -> str | None:
         return f"arity mismatch: {rule.value} takes {ARITY[rule]} premises, got {len(node.premises)}"
     c, g = node.conclusion.ctx, node.conclusion.suc
     phi = node.principal
-    prems = [p.conclusion for p in node.premises]
 
     if rule is Rule.INIT1:
         if not isinstance(g, Var):
@@ -286,143 +345,22 @@ def _node_error(calc: Calculus, node: SequentProof) -> str | None:
             return "init2 formula missing from context"
         return None
 
-    if rule is Rule.CUT:
-        cutf = phi if phi is not None else prems[0].suc
-        if prems[0].suc != cutf:
-            return "cut formula does not match first premise succedent"
-        if not _split_ok(c, None, prems[0], cutf, prems[1], {cutf}, g, g):
-            return _mismatch(seq(prems[0].ctx | (prems[1].ctx - {cutf}), g), node.conclusion)
-        return None
-
-    # right rules: the shared context is exactly the conclusion context
-    if rule is Rule.IMP_RIGHT:
-        if not isinstance(g, Imp):
-            return "succedent is not an implication"
-        ok = _shared_ok(c | frozenset(), None, prems, [({g.left}, g.right)])
-        return None if ok else _mismatch(seq({g.left} | c, g.right), prems[0])
-    if rule is Rule.AND_RIGHT:
-        if not isinstance(g, And):
-            return "succedent is not a conjunction"
-        ok = _shared_ok(c, None, prems, [(set(), g.left), (set(), g.right)])
-        return None if ok else "premises must share the conclusion context"
-    if rule in (Rule.OR_RIGHT1, Rule.OR_RIGHT2):
-        if not isinstance(g, Or):
-            return "succedent is not a disjunction"
-        side = g.left if rule is Rule.OR_RIGHT1 else g.right
-        ok = _shared_ok(c, None, prems, [(set(), side)])
-        return None if ok else _mismatch(seq(c, side), prems[0])
-    if rule is Rule.NEG_RIGHT:
-        if not (isinstance(g, Neg) and isinstance(g.body, Neg)):
-            return "succedent is not a double negation"
-        ok = _shared_ok(c, None, prems, [(set(), g.body.body)])
-        return None if ok else _mismatch(seq(c, g.body.body), prems[0])
-    if rule is Rule.NEG_IMP_RIGHT:
-        if not (isinstance(g, Neg) and isinstance(g.body, Imp)):
-            return "succedent is not a negated implication"
-        a, b = g.body.left, g.body.right
-        ok = _shared_ok(c, None, prems, [({a}, Neg(b))])
-        return None if ok else _mismatch(seq({a} | c, Neg(b)), prems[0])
-    if rule in (Rule.NEG_AND_RIGHT1, Rule.NEG_AND_RIGHT2):
-        if not (isinstance(g, Neg) and isinstance(g.body, And)):
-            return "succedent is not a negated conjunction"
-        side = g.body.left if rule is Rule.NEG_AND_RIGHT1 else g.body.right
-        ok = _shared_ok(c, None, prems, [(set(), Neg(side))])
-        return None if ok else _mismatch(seq(c, Neg(side)), prems[0])
-    if rule is Rule.NEG_OR_RIGHT:
-        if not (isinstance(g, Neg) and isinstance(g.body, Or)):
-            return "succedent is not a negated disjunction"
-        a, b = g.body.left, g.body.right
-        ok = _shared_ok(c, None, prems, [(set(), Neg(a)), (set(), Neg(b))])
-        return None if ok else "premises must share the conclusion context"
-
-    # rules below need an explicit principal (or instantiation) formula
-    if rule in (
-        Rule.AND_LEFT,
-        Rule.OR_LEFT,
-        Rule.NEG_LEFT,
-        Rule.NEG_AND_LEFT,
-        Rule.NEG_OR_LEFT,
-        Rule.IMP_LEFT,
-        Rule.NEG_IMP_LEFT,
-        Rule.EX_MIDDLE,
-        Rule.PEIRCE,
-        Rule.G_EX_MIDDLE,
-        Rule.P_EX_MIDDLE,
-    ) and phi is None:
+    prems = [p.conclusion for p in node.premises]
+    if phi is None and rule is Rule.CUT:
+        phi = prems[0].suc  # an unnamed cut formula is the first premise's succedent
+    if phi is None and rule not in RIGHT_RULES:
         return "principal formula required"
-
-    if rule is Rule.AND_LEFT:
-        if not isinstance(phi, And):
-            return "principal is not a conjunction"
-        ok = _shared_ok(c, phi, prems, [({phi.left, phi.right}, g)])
-        return None if ok else "premise does not match (and left) schema" if phi in c else "principal missing from context"
-    if rule is Rule.OR_LEFT:
-        if not isinstance(phi, Or):
-            return "principal is not a disjunction"
-        if phi not in c:
-            return "principal missing from context"
-        ok = _shared_ok(c, phi, prems, [({phi.left}, g), ({phi.right}, g)])
-        return None if ok else "premises do not match (or left) schema"
-    if rule is Rule.NEG_LEFT:
-        if not (isinstance(phi, Neg) and isinstance(phi.body, Neg)):
-            return "principal is not a double negation"
-        if phi not in c:
-            return "principal missing from context"
-        ok = _shared_ok(c, phi, prems, [({phi.body.body}, g)])
-        return None if ok else "premise does not match (neg left) schema"
-    if rule is Rule.NEG_AND_LEFT:
-        if not (isinstance(phi, Neg) and isinstance(phi.body, And)):
-            return "principal is not a negated conjunction"
-        if phi not in c:
-            return "principal missing from context"
-        ok = _shared_ok(c, phi, prems, [({Neg(phi.body.left)}, g), ({Neg(phi.body.right)}, g)])
-        return None if ok else "premises do not match (neg and left) schema"
-    if rule is Rule.NEG_OR_LEFT:
-        if not (isinstance(phi, Neg) and isinstance(phi.body, Or)):
-            return "principal is not a negated disjunction"
-        if phi not in c:
-            return "principal missing from context"
-        ok = _shared_ok(c, phi, prems, [({Neg(phi.body.left), Neg(phi.body.right)}, g)])
-        return None if ok else "premise does not match (neg or left) schema"
-    if rule is Rule.IMP_LEFT:
-        if not isinstance(phi, Imp):
-            return "principal is not an implication"
-        if phi not in c:
-            return "principal missing from context"
-        ok = _split_ok(c, phi, prems[0], phi.left, prems[1], {phi.right}, g, g)
-        return None if ok else "premises do not match (imp left) schema"
-    if rule is Rule.NEG_IMP_LEFT:
-        if not (isinstance(phi, Neg) and isinstance(phi.body, Imp)):
-            return "principal is not a negated implication"
-        if phi not in c:
-            return "principal missing from context"
-        a, b = phi.body.left, phi.body.right
-        ok = _split_ok(c, phi, prems[0], a, prems[1], {Neg(b)}, g, g)
-        return None if ok else "premises do not match (neg imp left) schema"
-
-    if rule is Rule.EX_MIDDLE:
-        ok = _shared_ok(c, None, prems, [({Neg(phi)}, g), ({phi}, g)])
-        return None if ok else "premises do not match (ex-middle) schema"
-    if rule is Rule.PEIRCE:
-        if not isinstance(phi, Imp):
-            return "Peirce instantiation must be an implication"
-        if phi.left != g:
-            return "Peirce antecedent must equal the conclusion succedent"
-        ok = _shared_ok(c, None, prems, [({phi}, g)])
-        return None if ok else "premise does not match (Peirce) schema"
-    if rule is Rule.G_EX_MIDDLE:
-        if not isinstance(phi, Imp):
-            return "g-ex-middle instantiation must be an implication"
-        ok = _shared_ok(c, None, prems, [({phi}, g), ({phi.left}, g)])
-        return None if ok else "premises do not match (g-ex-middle) schema"
-    if rule is Rule.P_EX_MIDDLE:
-        if not (isinstance(phi, Var) and not phi.primed):
-            return "p-ex-middle instantiation must be an unprimed atom"
-        primed = Var(phi.name, True)
-        ok = _shared_ok(c, None, prems, [({primed}, g), ({phi}, g)])
-        return None if ok else "premises do not match (p-ex-middle) schema"
-
-    return f"unhandled rule {rule.value}"
+    specs = SCHEMAS[rule](g, phi)
+    if specs is None:
+        return f"{'succedent' if rule in RIGHT_RULES else 'principal'} does not fit the {rule.value} schema"
+    left = rule in LEFT_RULES
+    if left and phi not in c:
+        return "principal missing from context"
+    if rule in _SPLIT_RULES:
+        ok = _split_ok(c, frozenset({phi}) if left else frozenset(), prems, specs)
+    else:
+        ok = _shared_ok(c, phi if left else None, prems, specs)
+    return None if ok else f"premises do not match the {rule.value} schema"
 
 
 def _require_valid(calc: Calculus, proof: SequentProof) -> None:
@@ -468,8 +406,6 @@ def identity_proof(calc: Calculus, alpha: Formula, gamma: Iterable[Formula] = ()
 
 
 def _mentions_neg(alpha: Formula, gamma: frozenset[Formula]) -> bool:
-    from .formula import has_negation
-
     return has_negation(alpha) or any(has_negation(f) for f in gamma)
 
 

@@ -93,6 +93,23 @@ def test_check_nd(capsys, tmp_path):
     assert code == 1
 
 
+def test_check_rejects_principal_outside_context(capsys, monkeypatch):
+    """(and left) on p & q under the conclusion => p, whose context lacks
+    p & q: not a proof, and => p is unprovable."""
+    import io
+
+    text = json.dumps({
+        "rule": "and_left", "sequent": {"ctx": [], "suc": "p"}, "principal": "p & q",
+        "premises": [{"rule": "init1", "sequent": {"ctx": ["p", "q"], "suc": "p"}, "principal": None, "premises": []}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "check", "sc", "sc", "-")
+    assert code == 1
+    assert out.startswith("invalid") and "principal missing from context" in out
+    code, _, err = run(capsys, "prove", "sc", "=> p")
+    assert code == 1 and "unprovable" in err
+
+
 def test_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -68,6 +68,14 @@ def test_unbound_label_rejected():
     assert not check_derivation(NdSystem.NC, d).ok
 
 
+def test_label_outside_its_scope_rejected():
+    # label 1 is discharged in the left conjunct but also binds a leaf in the right
+    d = Derivation(NdRule.AND_I, And(Imp(p, p), p), (imp_intro(assumption(p), p, 1), assumption(p, 1)))
+    rep = check_derivation(NdSystem.NC, d)
+    assert not rep.ok and rep.path == (0,)
+    assert rep.reason == "label 1 binds leaves outside its permitted subtrees"
+
+
 def test_wrong_discharge_formula_rejected():
     # label 1 binds a q leaf but (imp_I) concludes p -> q
     d = Derivation(NdRule.IMP_I, Imp(p, q), (assumption(q, 1),), 1)

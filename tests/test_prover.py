@@ -21,7 +21,10 @@ from connexive.prover import (
 )
 from connexive.sequent import (
     CONNEXIVE_CALCULI,
+    LEFT_RULES,
+    RIGHT_RULES,
     RULES_OF,
+    SCHEMAS,
     Calculus,
     Rule,
     Sequent,
@@ -33,6 +36,7 @@ from connexive.sequent import (
     proof_from_json,
     proof_to_json,
     seq,
+    shape,
 )
 
 from helpers import rand_formula, rand_sequent
@@ -244,6 +248,20 @@ def test_proof_json_digest_unchanged():
             if res.proof is not None:
                 digest.update(proof_to_json(res.proof, indent=2).encode())
     assert digest.hexdigest() == "dba1b298672b3626432257b40c815656ecec03ebf011b544e83300b34a715dee"
+
+
+def test_search_shapes_fit_schemas():
+    """The search's shape index names each left and right rule once, under
+    a shape whose formulas fit the rule's schema."""
+    from connexive.prover import _LEFT, _RIGHT
+
+    samples = [Neg(Neg(p)), Neg(And(p, q)), Neg(Or(p, q)), Neg(Imp(p, q)), And(p, q), Or(p, q), Imp(p, q)]
+    by_shape = {shape(f): f for f in samples}
+    for index, side, fits in ((_RIGHT, RIGHT_RULES, lambda rule, f: SCHEMAS[rule](f, None)),
+                              (_LEFT, LEFT_RULES, lambda rule, f: SCHEMAS[rule](r, f))):
+        indexed = [(rule, s) for s, groups in index.items() for group in groups for rule in group]
+        assert sorted(rule for rule, _ in indexed) == sorted(side)
+        assert all(fits(rule, by_shape[s]) is not None for rule, s in indexed)
 
 
 def test_memo():

@@ -9,6 +9,7 @@ from connexive.formula import And, Imp, Neg, Or, Var, show
 from connexive.sequent import (
     ARITY,
     RULES_OF,
+    SCHEMAS,
     Calculus,
     Rule,
     Sequent,
@@ -80,6 +81,42 @@ def test_left_rule_retention():
     prem2 = leaf(Rule.INIT1, [p, q], p)
     proof2 = SequentProof(conc, Rule.AND_LEFT, And(p, q), (prem2,))
     assert check_proof(Calculus.SC, proof2).ok
+
+
+# (rule, principal, conclusion context without the principal, premises):
+# valid once the principal is added to the context
+LEFT_INSTANCES = [
+    (Rule.AND_LEFT, And(p, q), [r], [leaf(Rule.INIT1, [p, q, r], r)]),
+    (Rule.OR_LEFT, Or(p, q), [r], [leaf(Rule.INIT1, [p, r], r), leaf(Rule.INIT1, [q, r], r)]),
+    (Rule.NEG_LEFT, Neg(Neg(p)), [r], [leaf(Rule.INIT1, [p, r], r)]),
+    (Rule.NEG_AND_LEFT, Neg(And(p, q)), [r], [leaf(Rule.INIT1, [Neg(p), r], r), leaf(Rule.INIT1, [Neg(q), r], r)]),
+    (Rule.NEG_OR_LEFT, Neg(Or(p, q)), [r], [leaf(Rule.INIT1, [Neg(p), Neg(q), r], r)]),
+    (Rule.IMP_LEFT, Imp(p, q), [p, r], [leaf(Rule.INIT1, [p, r], p), leaf(Rule.INIT1, [q, r], r)]),
+    (Rule.NEG_IMP_LEFT, Neg(Imp(p, q)), [p, r], [leaf(Rule.INIT1, [p, r], p), leaf(Rule.INIT1, [Neg(q), r], r)]),
+]
+
+
+@pytest.mark.parametrize("rule, phi, ctx, prems", LEFT_INSTANCES, ids=[i[0].value for i in LEFT_INSTANCES])
+def test_left_rule_principal_must_be_in_context(rule, phi, ctx, prems):
+    valid = SequentProof(seq([phi, *ctx], r), rule, phi, tuple(prems))
+    assert check_proof(Calculus.SC, valid).ok
+    rep = check_proof(Calculus.SC, SequentProof(seq(ctx, r), rule, phi, tuple(prems)))
+    assert not rep.ok
+    assert rep.path == () and rep.rule == rule.value
+    assert rep.reason == "principal missing from context"
+
+
+def test_schema_table_complete():
+    """Every rule but the axioms has a schema, and each fitting instance
+    has as many premises as the rule's arity."""
+    assert set(SCHEMAS) == set(Rule) - {Rule.INIT1, Rule.INIT2}
+    samples = [p, q, Var("p", True), Neg(p), And(p, q), Or(p, q), Imp(p, q)]
+    samples += [Neg(f) for f in samples[3:]]
+    for rule, schema in SCHEMAS.items():
+        fits = [schema(g, phi) for g in samples for phi in [None, *samples]]
+        fits = [specs for specs in fits if specs is not None]
+        assert fits, rule
+        assert all(len(specs) == ARITY[rule] for specs in fits), rule
 
 
 def test_rule_not_in_calculus():
