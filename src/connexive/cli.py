@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .bridge import PAIRED_CALCULUS, nd_to_sc, normalize, sc_to_nd
+from .bridge import nd_to_sc, normalize, sc_to_nd
 from .checking import InvalidProof
 from .embedding import translate_f
 from .formula import ParseError, parse, show
@@ -23,7 +23,6 @@ from .natded import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    maximum_formulas,
 )
 from .prover import (
     ResourceExceeded,

@@ -164,7 +164,14 @@ def open_assumptions(d: Derivation) -> frozenset[Formula]:
 
 
 def discharge_labels(d: Derivation) -> set[int]:
-    return {n.discharge for _, n in _walk(d) if n.discharge is not None}
+    out: set[int] = set()
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if n.discharge is not None:
+            out.add(n.discharge)
+        stack.extend(n.premises)
+    return out
 
 
 def max_label(d: Derivation) -> int:
@@ -446,6 +453,8 @@ def refresh_labels(d: Derivation, start: int) -> tuple[Derivation, int]:
     start; leaf labels bound outside d are left alone.  Returns the
     renamed tree and the next unused label."""
     inner = sorted(discharge_labels(d))
+    if not inner:
+        return d, start
     mapping = {l: start + i for i, l in enumerate(inner)}
     return relabel(d, mapping), start + len(inner)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .checking import CheckReport, InvalidProof
+from .checking import InvalidProof
 from .natded import (
     Derivation,
     MaxOccurrence,

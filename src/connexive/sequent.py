@@ -137,7 +137,7 @@ CONNEXIVE_CALCULI = frozenset(
 # Rule schemas.  An entry maps (succedent, principal) to the G3 premise
 # specs [(formulas added to the context, succedent), ...], or None when
 # the formulas do not fit the schema.  Right rules decompose the
-# succedent and ignore the principal; the principal of a left rule must
+# succedent and take no principal; the principal of a left rule must
 # occur in the conclusion's context; the other rules instantiate it
 # freely.
 
@@ -337,23 +337,26 @@ def _node_error(calc: Calculus, node: SequentProof) -> str | None:
             return "init1 succedent must be an atom"
         if g not in c:
             return "init1 atom missing from context"
-        return None
+        return None if phi is None else _no_principal(rule)
     if rule is Rule.INIT2:
         if not (isinstance(g, Neg) and isinstance(g.body, Var)):
             return "init2 succedent must be a negated atom"
         if g not in c:
             return "init2 formula missing from context"
-        return None
+        return None if phi is None else _no_principal(rule)
 
     prems = [p.conclusion for p in node.premises]
+    left = rule in LEFT_RULES
+    right = not left and rule in RIGHT_RULES
+    if right and phi is not None:
+        return _no_principal(rule)
     if phi is None and rule is Rule.CUT:
         phi = prems[0].suc  # an unnamed cut formula is the first premise's succedent
-    if phi is None and rule not in RIGHT_RULES:
+    if phi is None and not right:
         return "principal formula required"
     specs = SCHEMAS[rule](g, phi)
     if specs is None:
-        return f"{'succedent' if rule in RIGHT_RULES else 'principal'} does not fit the {rule.value} schema"
-    left = rule in LEFT_RULES
+        return f"{'succedent' if right else 'principal'} does not fit the {rule.value} schema"
     if left and phi not in c:
         return "principal missing from context"
     if rule in _SPLIT_RULES:
@@ -361,6 +364,10 @@ def _node_error(calc: Calculus, node: SequentProof) -> str | None:
     else:
         ok = _shared_ok(c, phi if left else None, prems, specs)
     return None if ok else f"premises do not match the {rule.value} schema"
+
+
+def _no_principal(rule: Rule) -> str:
+    return f"{rule.value} takes no principal formula"
 
 
 def _require_valid(calc: Calculus, proof: SequentProof) -> None:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,12 +12,13 @@ from connexive.natded import (
     NdSystem,
     assumption,
     check_derivation,
+    derivation_to_obj,
     end_formula,
     is_normal,
     open_assumptions,
 )
 from connexive.prover import ResourceExceeded, SearchConfig, Verdict, decide, eliminate_cut
-from connexive.sequent import Calculus, Sequent, check_proof, seq
+from connexive.sequent import Calculus, Sequent, SequentProof, check_proof, seq
 
 from helpers import plant_detours, rand_derivation, rand_sequent, shared_or_chain
 
@@ -69,6 +72,39 @@ def test_nd_to_sc_neg_imp_e():
     assert proof.conclusion == seq([Neg(Imp(p, q)), p], Neg(q))
     rep = check_proof(Calculus.SC, proof)
     assert rep.ok, rep.message()
+
+
+def imp_and_chain(n: int) -> Derivation:
+    """n levels of (imp I) discharging q_k over (and I) of the level below
+    and the assumption q_k; the bottom is the open assumption p."""
+    d = assumption(p)
+    for k in range(1, n + 1):
+        qk = Var(f"q{k}")
+        body = Derivation(NdRule.AND_I, And(d.formula, qk), (d, assumption(qk, k)))
+        d = Derivation(NdRule.IMP_I, Imp(qk, body.formula), (body,), k)
+    return d
+
+
+def test_nd_to_sc_builds_each_node_once(monkeypatch):
+    """Sequent nodes built by nd_to_sc grow linearly with the derivation:
+    each node is built once, at the context in scope, and never rebuilt
+    to weaken it."""
+    built = [0]
+    init = SequentProof.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequentProof, "__init__", counting_init)
+    counts = {}
+    for n in (50, 100):
+        built[0] = 0
+        proof = nd_to_sc(NdSystem.NC, imp_and_chain(n))
+        assert proof.conclusion == seq([p], imp_and_chain(n).formula)
+        counts[n] = built[0]
+    # (imp right), (and right) and an (init1) leaf per level, one leaf for p
+    assert counts == {50: 3 * 50 + 1, 100: 3 * 100 + 1}
 
 
 def test_nd_to_sc_random():
@@ -170,3 +206,49 @@ def test_sc_to_nd_budget_bounds_tree_expansion():
     # 2^41 - 1 tree nodes from 41 distinct ones: refused, not expanded
     with pytest.raises(ResourceExceeded):
         sc_to_nd(Calculus.SC, shared_or_chain(40))
+
+
+def relabelled_json(d: Derivation) -> str:
+    """JSON of d with its labels renumbered 1, 2, ... by first appearance
+    in pre-order, so that derivations equal up to renaming of discharge
+    labels give the same text."""
+    numbers: dict[int, int] = {}
+
+    def renumber(obj: dict) -> dict:
+        for field in ("discharge", "label"):
+            if obj.get(field) is not None:
+                obj[field] = numbers.setdefault(obj[field], len(numbers) + 1)
+        for sub in obj.get("premises", ()):
+            renumber(sub)
+        return obj
+
+    return json.dumps(renumber(derivation_to_obj(d)))
+
+
+def test_bridge_output_digest_unchanged():
+    """sc_to_nd on prover proofs and normalize on derivations with planted
+    detours hash, up to renaming of discharge labels, to the digests that
+    this same loop gives on commit a0d0c89, a checkout made before both
+    translations ran top-down."""
+    cfg = SearchConfig(memo=False)
+    to_nd = hashlib.sha256()
+    for calc in (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN):
+        k = done = 0
+        while done < 40:
+            s = rand_sequent(random.Random(k), 8)
+            k += 1
+            res = decide(calc, s, cfg)
+            if res.verdict is Verdict.PROVABLE:
+                done += 1
+                to_nd.update(f"{calc.value} {s}\n".encode())
+                to_nd.update(relabelled_json(sc_to_nd(calc, res.proof, cfg)).encode())
+    normal = hashlib.sha256()
+    rng = random.Random(45)
+    for sys_id in NdSystem:
+        for _ in range(50):
+            d = plant_detours(rng, sys_id, rand_derivation(rng, sys_id, max_nodes=8), 2)
+            normal.update(relabelled_json(normalize(sys_id, d, cfg)).encode())
+    assert (to_nd.hexdigest(), normal.hexdigest()) == (
+        "af578035c73bb0aec37699a3365d307a879f2c90518ba086ee544f4b705fac0f",
+        "6251bb79d03782c953704cf31df4a52e33d5368cc05c9e6139a799d1b76e8c5c",
+    )

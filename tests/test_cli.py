@@ -110,6 +110,21 @@ def test_check_rejects_principal_outside_context(capsys, monkeypatch):
     assert code == 1 and "unprovable" in err
 
 
+def test_check_rejects_principal_on_right_rule(capsys, monkeypatch):
+    """(-> right) on => p -> p over an (init1) leaf, both carrying the
+    principal q & q: a principal on those rules is not a proof field."""
+    import io
+
+    text = json.dumps({
+        "rule": "imp_right", "sequent": {"ctx": [], "suc": "p -> p"}, "principal": "q & q",
+        "premises": [{"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}, "principal": "q & q", "premises": []}],
+    })
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "check", "sc", "sc", "-")
+    assert code == 1
+    assert out.startswith("invalid") and "imp_right takes no principal formula" in out
+
+
 def test_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

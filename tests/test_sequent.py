@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -104,6 +105,21 @@ def test_left_rule_principal_must_be_in_context(rule, phi, ctx, prems):
     assert not rep.ok
     assert rep.path == () and rep.rule == rule.value
     assert rep.reason == "principal missing from context"
+
+
+def test_axioms_and_right_rules_take_no_principal():
+    """A principal on an axiom or a right rule means nothing, so a node
+    that carries one is rejected; without it each node checks."""
+    nodes = {}
+    for phi in [And(p, q), Or(p, q), Imp(p, q), Neg(Neg(p)), Neg(Imp(p, q)), Neg(And(p, q)), Neg(Or(p, q))]:
+        fold(identity_proof(Calculus.SC, phi), lambda node, subs: nodes.setdefault(node.rule, node))
+    targets = sequent.RIGHT_RULES | {Rule.INIT1, Rule.INIT2}
+    assert targets <= set(nodes)
+    for rule in targets:
+        assert check_proof(Calculus.SC, nodes[rule]).ok
+        rep = check_proof(Calculus.SC, dataclasses.replace(nodes[rule], principal=And(q, q)))
+        assert not rep.ok, rule
+        assert rep.path == () and rep.reason == f"{rule.value} takes no principal formula"
 
 
 def test_schema_table_complete():
