@@ -35,6 +35,7 @@ from .natded import (
     _gem_witness,
     assumption,
     check_derivation,
+    discharged_leaves,
     is_normal,
     open_assumptions,
     refresh_labels,
@@ -98,7 +99,7 @@ def nd_to_sc(sys_id: NdSystem, d: Derivation) -> SequentProof:
     require_valid(sys_id, d)
     calc = PAIRED_CALCULUS[sys_id]
     target = open_assumptions(d)
-    proof = _to_sc(calc, d, target)
+    proof = _to_sc(calc, d, target, discharged_leaves(d))
     rep = check_proof(calc, proof)
     if not rep.ok:
         raise InvalidProof(rep)
@@ -114,9 +115,9 @@ def _cut(p1: SequentProof, p2: SequentProof) -> SequentProof:
     return SequentProof(Sequent(ctx, p2.conclusion.suc), Rule.CUT, cutf, (p1, p2))
 
 
-def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula]) -> SequentProof:
+def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula], discharged) -> SequentProof:
     """Proof of ctx => d.formula, where ctx holds the assumptions in scope
-    at d."""
+    at d; discharged is discharged_leaves of the whole derivation."""
     r, g = d.rule, d.formula
     if r is NdRule.ASSUMPTION:
         return identity_proof(calc, g, ctx)
@@ -127,21 +128,22 @@ def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula]) -> SequentPro
         leaves = tuple(identity_proof(calc, s, added) for added, s in SCHEMAS[rule](g, major))
         proof = SequentProof(seq([major, *(m.formula for m in minors)], g), rule, major, leaves)
         for prem in d.premises:
-            proof = _cut(_to_sc(calc, prem, ctx), proof)
+            proof = _cut(_to_sc(calc, prem, ctx, discharged), proof)
         return proof
     rule, hyps = _SC_RULE[r], d.premises
     if r in INTRO_RULES:
-        inst = _em_alpha(d) if r is NdRule.EM else _gem_witness(d) if r is NdRule.GEM else None
+        bound = discharged.get(d.discharge, ((), ()))
+        inst = _em_alpha(*bound) if r is NdRule.EM else _gem_witness(*bound) if r is NdRule.GEM else None
     else:
         # or_E, neg_and_E: the minor premises are the left rule's premises
         inst, hyps = hyps[0].formula, hyps[1:]
     subs = []  # a plain loop keeps one interpreter frame per level of d
     for h, (added, _) in zip(hyps, SCHEMAS[rule](g, inst)):
-        subs.append(_to_sc(calc, h, ctx.union(added)))
+        subs.append(_to_sc(calc, h, ctx.union(added), discharged))
     if r in INTRO_RULES:
         return SequentProof(Sequent(ctx, g), rule, inst, tuple(subs))
     left = SequentProof(Sequent(ctx | {inst}, g), rule, inst, tuple(subs))
-    return _cut(_to_sc(calc, d.premises[0], ctx), left)
+    return _cut(_to_sc(calc, d.premises[0], ctx, discharged), left)
 
 
 # ---------------------------------------------------------------------------

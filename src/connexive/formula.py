@@ -287,7 +287,10 @@ def parse(text: str, allow_primed: bool = False) -> Formula:
     if not text.strip():
         raise ParseError("empty input", 0, ("~", "(", "atom"))
     p = _Parser(_tokenize(text), allow_primed)
-    f = p.imp()
+    try:
+        f = p.imp()
+    except RecursionError:
+        raise ParseError("formula is nested too deeply", p.peek()[2]) from None
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))

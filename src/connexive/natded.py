@@ -8,6 +8,16 @@ bind any number of assumption leaves (including zero: vacuous discharge
 is permitted uniformly for every discharging rule).  Rules discharging
 two assumption shapes (or_E, neg_and_E, EM, GEM) use a single label with
 a branch-specific expected formula.
+
+Each walk visits a derivation's nodes once and keeps its own stack, so
+its cost is linear in the derivation's size and its depth is not bounded
+by the interpreter's recursion limit.  The
+checker makes one pre-order pass that files every labelled leaf under
+the premise of its discharging node it sits in, then checks each node
+against its rule schema, a discharging node against those leaf lists.
+The other walks are bottom-up folds (fold), the JSON writer a pre-order
+walk.  Only the JSON reader recurses, within the depth json.loads
+accepts.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Sequence, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, parse, show
@@ -128,7 +138,7 @@ class Derivation:
     label: int | None = None  # assumption leaves only: binding label
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        return fold(self, lambda _, subs: 1 + sum(subs))
 
     def at(self, path: tuple[int, ...]) -> "Derivation":
         node = self
@@ -151,19 +161,51 @@ def end_formula(d: Derivation) -> Formula:
     return d.formula
 
 
-def _walk(d: Derivation, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Derivation]]:
-    yield path, d
-    for i, p in enumerate(d.premises):
-        yield from _walk(p, path + (i,))
+T = TypeVar("T")
+
+
+def fold(d: Derivation, combine: Callable[[Derivation, Sequence[T]], T]) -> T:
+    """Bottom-up fold: combine(node, premise results) runs once per node
+    occurrence, in post-order from left to right, so a combine that draws
+    fresh labels draws them in the order of the leaves.
+
+    Iterative, so derivation depth is not bounded by the interpreter's
+    recursion limit.  A first pass lists the nodes in pre-order taking
+    premises from right to left; that list reversed is the post-order
+    wanted.  Walking it, each node finds its premises' results as the
+    last ones on a stack of results, and replaces them with its own."""
+    order = []
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack.extend(n.premises)
+    results: list = []
+    for n in reversed(order):
+        k = len(n.premises)
+        if k:
+            subs = results[-k:]
+            del results[-k:]
+            results.append(combine(n, subs))
+        else:
+            results.append(combine(n, ()))
+    return results[0]
 
 
 def open_assumptions(d: Derivation) -> frozenset[Formula]:
-    return frozenset(
-        n.formula for _, n in _walk(d) if n.rule is NdRule.ASSUMPTION and n.label is None
-    )
+    found: set[Formula] = set()
+
+    def combine(n: Derivation, _) -> None:
+        if n.label is None and n.rule is NdRule.ASSUMPTION:
+            found.add(n.formula)
+
+    fold(d, combine)
+    return frozenset(found)
 
 
 def discharge_labels(d: Derivation) -> set[int]:
+    # a plain walk, not a fold: refresh_labels runs this on every copy
+    # sc_to_nd makes, and a fold costs two to three times as much here
     out: set[int] = set()
     stack = [d]
     while stack:
@@ -175,92 +217,153 @@ def discharge_labels(d: Derivation) -> set[int]:
 
 
 def max_label(d: Derivation) -> int:
-    labels = [0]
-    for _, n in _walk(d):
-        if n.discharge is not None:
-            labels.append(n.discharge)
-        if n.label is not None:
-            labels.append(n.label)
-    return max(labels)
-
-
-def _bound_leaves(d: Derivation, label: int) -> list[Formula]:
-    return [
-        n.formula
-        for _, n in _walk(d)
-        if n.rule is NdRule.ASSUMPTION and n.label == label
-    ]
+    """The largest discharge or leaf label in d, and at least 0."""
+    return fold(d, lambda n, subs: max(0, n.discharge or 0, n.label or 0, *subs))
 
 
 # ---------------------------------------------------------------------------
 # Checker.
 
-def check_derivation(sys_id: NdSystem, d: Derivation) -> CheckReport:
-    table = RULES_OF_SYSTEM[sys_id]
-    seen: dict[int, tuple[int, ...]] = {}
-    for path, n in _walk(d):
-        if n.discharge is not None:
+_UNBOUND = ((), (), ())  # the leaf lists of a node that discharges no label
+
+
+class _Scan:
+    """One pre-order pass over d that files every labelled assumption leaf
+    under the premise of its label's discharging node that it sits in.
+
+    trail[k] is (node, index of its parent, premise slot) for the k-th
+    node in pre-order, the root's parent being -1; a path is rebuilt from
+    it only for a node that fails.  leaves maps each discharge label to
+    the formulas of the leaves it binds, one list per premise of its
+    discharging node, each in pre-order.  count maps each leaf label to
+    the number of leaves that carry it anywhere in d, and strays holds the
+    pre-order indices of the leaves outside their label's scope.
+
+    While a premise of a discharging node is walked, scope maps its label
+    to that premise's list: a switch entry (None, label, list) goes on the
+    stack above each premise, and (None, label, None) below the last one
+    takes the label out of scope.  error is the first discharge fault in
+    pre-order, as (index, reason); it ends the pass, since a duplicate
+    label would confuse the scopes."""
+
+    def __init__(self, d: Derivation):
+        self.trail: list[tuple[Derivation, int, int]] = []
+        self.leaves: dict[int, list[list[Formula]]] = {}
+        self.count: dict[int, int] = {}
+        self.strays: list[int] = []
+        self.error: tuple[int, str] | None = None
+        trail, leaves, count, strays = self.trail, self.leaves, self.count, self.strays
+        scope: dict[int, list[Formula]] = {}
+        stack: list = [(d, -1, 0)]
+        while stack:
+            entry = stack.pop()
+            n, parent, slot = entry
+            if n is None:  # a scope switch: parent is the label, slot its list
+                if slot is None:
+                    scope.pop(parent, None)  # absent if the node has no premises
+                else:
+                    scope[parent] = slot
+                continue
+            k = len(trail)
+            trail.append(entry)
+            prems = n.premises
+            l = n.discharge
+            if l is None:
+                if n.label is not None and n.rule is NdRule.ASSUMPTION:
+                    count[n.label] = count.get(n.label, 0) + 1
+                    into = scope.get(n.label)
+                    if into is None:
+                        strays.append(k)
+                    else:
+                        into.append(n.formula)
+                for i in range(len(prems) - 1, -1, -1):
+                    stack.append((prems[i], k, i))
+                continue
             if n.rule not in DISCHARGING_RULES:
-                return CheckReport(False, path, n.rule.value, "rule cannot discharge")
-            if n.discharge in seen:
-                return CheckReport(False, path, n.rule.value, f"duplicate discharge label {n.discharge}")
-            seen[n.discharge] = path
-    leaf_count: dict[int, int] = {}
-    for path, n in _walk(d):
-        if n.rule is NdRule.ASSUMPTION and n.label is not None:
-            if n.label not in seen:
-                return CheckReport(False, path, n.rule.value, f"leaf label {n.label} has no discharging node")
-            leaf_count[n.label] = leaf_count.get(n.label, 0) + 1
-    return _check_node(table, d, (), leaf_count)
+                self.error = (k, "rule cannot discharge")
+                return
+            if l in leaves:
+                self.error = (k, f"duplicate discharge label {l}")
+                return
+            lists = leaves[l] = [[] for _ in prems]
+            stack.append((None, l, None))
+            for i in range(len(prems) - 1, -1, -1):
+                stack.append((prems[i], k, i))
+                stack.append((None, l, lists[i]))
+
+    def fail(self, k: int, reason: str) -> CheckReport:
+        node = self.trail[k][0]
+        path = []
+        while k > 0:
+            _, k, slot = self.trail[k]
+            path.append(slot)
+        return CheckReport(False, tuple(reversed(path)), node.rule.value, reason)
 
 
-def _fail(path, rule, reason):
-    return CheckReport(False, path, rule.value, reason)
+def discharged_leaves(d: Derivation) -> dict[int, list[list[Formula]]]:
+    """For each label discharged in a checked derivation d, the formulas of
+    the leaves it binds: one list per premise of its discharging node, in
+    pre-order."""
+    return _Scan(d).leaves
 
 
-def _uniform(leaves: list[Formula]) -> bool:
-    return all(f == leaves[0] for f in leaves)
-
-
-def _check_node(table, n: Derivation, path, leaf_count) -> CheckReport:
-    r = n.rule
-    if r not in table:
-        return _fail(path, r, "rule not in system")
-    if len(n.premises) != _ARITY[r]:
-        return _fail(path, r, f"arity mismatch: expected {_ARITY[r]}, got {len(n.premises)}")
-    if n.label is not None and r is not NdRule.ASSUMPTION:
-        return _fail(path, r, "label field only valid on assumption leaves")
-    err = _schema_error(n, leaf_count)
-    if err is not None:
-        return _fail(path, r, err)
-    for i, p in enumerate(n.premises):
-        rep = _check_node(table, p, path + (i,), leaf_count)
-        if not rep.ok:
-            return rep
+def check_derivation(sys_id: NdSystem, d: Derivation) -> CheckReport:
+    """Accept iff every node instantiates a rule of sys_id and every label
+    binds only leaves in its permitted premises.  On failure name, first
+    in pre-order, a discharge fault (a rule that cannot discharge, or a
+    duplicate label); else a leaf label that no node discharges; else a
+    node that does not fit its rule."""
+    table = RULES_OF_SYSTEM[sys_id]
+    scan = _Scan(d)
+    if scan.error is not None:
+        return scan.fail(*scan.error)
+    for k in scan.strays:
+        label = scan.trail[k][0].label
+        if label not in scan.leaves:
+            return scan.fail(k, f"leaf label {label} has no discharging node")
+    leaves, count = scan.leaves, scan.count
+    for k, (n, _, _) in enumerate(scan.trail):
+        reason = _node_error(table, n, leaves.get(n.discharge, _UNBOUND), count)
+        if reason is not None:
+            return scan.fail(k, reason)
     return ACCEPT
 
 
-def _discharge_ok(n: Derivation, leaf_count, branch_specs) -> str | None:
-    """branch_specs: list of (premise, expected formula | None).  Expected
-    None means the formula is determined by the leaves themselves (EM/GEM
-    with nothing else pinning it down) and was resolved by the caller."""
-    l = n.discharge
+def _uniform(leaves: Sequence[Formula]) -> bool:
+    return all(f == leaves[0] for f in leaves)
+
+
+def _node_error(table, n: Derivation, leaves, count: dict[int, int]) -> str | None:
+    """Why n does not instantiate a rule of table, or None.  leaves holds
+    the formulas of the leaves n's label binds, one list per premise."""
+    r = n.rule
+    if r not in table:
+        return "rule not in system"
+    if len(n.premises) != _ARITY[r]:
+        return f"arity mismatch: expected {_ARITY[r]}, got {len(n.premises)}"
+    if n.label is not None and r is not NdRule.ASSUMPTION:
+        return "label field only valid on assumption leaves"
+    return _schema_error(n, leaves, count)
+
+
+def _discharge_ok(l: int | None, count: dict[int, int], branch_specs) -> str | None:
+    """branch_specs: list of (leaf formulas of a premise, the formula its
+    discharged leaves must have)."""
     if l is None:
         return None  # binds nothing; vacuous discharge
     total = 0
-    for prem, expected in branch_specs:
-        leaves = _bound_leaves(prem, l)
+    for leaves, expected in branch_specs:
         total += len(leaves)
         for f in leaves:
-            if expected is not None and f != expected:
+            if f != expected:
                 return f"discharged leaf {show(f)} does not match expected {show(expected)}"
-    if total != leaf_count.get(l, 0):
+    if total != count.get(l, 0):
         return f"label {l} binds leaves outside its permitted subtrees"
     return None
 
 
-def _schema_error(n: Derivation, leaf_count) -> str | None:
-    r, g, prems = n.rule, n.formula, n.premises
+def _schema_error(n: Derivation, leaves, count: dict[int, int]) -> str | None:
+    r, g, prems, l = n.rule, n.formula, n.premises, n.discharge
     if r is NdRule.ASSUMPTION:
         return None
     if r is NdRule.IMP_I:
@@ -268,7 +371,7 @@ def _schema_error(n: Derivation, leaf_count) -> str | None:
             return "conclusion is not an implication"
         if prems[0].formula != g.right:
             return "premise must be the consequent"
-        return _discharge_ok(n, leaf_count, [(prems[0], g.left)])
+        return _discharge_ok(l, count, [(leaves[0], g.left)])
     if r is NdRule.IMP_E:
         major = prems[0].formula
         if not isinstance(major, Imp):
@@ -297,7 +400,7 @@ def _schema_error(n: Derivation, leaf_count) -> str | None:
             return "major premise is not a disjunction"
         if prems[1].formula != g or prems[2].formula != g:
             return "minor premises must both conclude the conclusion"
-        return _discharge_ok(n, leaf_count, [(prems[1], major.left), (prems[2], major.right)])
+        return _discharge_ok(l, count, [(leaves[1], major.left), (leaves[2], major.right)])
     if r is NdRule.NEGNEG_I:
         ok = g == Neg(Neg(prems[0].formula))
         return None if ok else "conclusion must doubly negate the premise"
@@ -310,7 +413,7 @@ def _schema_error(n: Derivation, leaf_count) -> str | None:
             return "conclusion is not a negated implication"
         if prems[0].formula != Neg(g.body.right):
             return "premise must be the negated consequent"
-        return _discharge_ok(n, leaf_count, [(prems[0], g.body.left)])
+        return _discharge_ok(l, count, [(leaves[0], g.body.left)])
     if r is NdRule.NEG_IMP_E:
         major = prems[0].formula
         if not (isinstance(major, Neg) and isinstance(major.body, Imp)):
@@ -330,7 +433,7 @@ def _schema_error(n: Derivation, leaf_count) -> str | None:
         if prems[1].formula != g or prems[2].formula != g:
             return "minor premises must both conclude the conclusion"
         return _discharge_ok(
-            n, leaf_count, [(prems[1], Neg(major.body.left)), (prems[2], Neg(major.body.right))]
+            l, count, [(leaves[1], Neg(major.body.left)), (leaves[2], Neg(major.body.right))]
         )
     if r is NdRule.NEG_OR_I:
         if not (isinstance(g, Neg) and isinstance(g.body, Or)):
@@ -347,27 +450,24 @@ def _schema_error(n: Derivation, leaf_count) -> str | None:
     if r is NdRule.EM:
         if prems[0].formula != g or prems[1].formula != g:
             return "premises must both conclude the conclusion"
-        alpha = _em_alpha(n)
+        alpha = _em_alpha(leaves[0], leaves[1])
         if alpha is None:
             return "discharged leaves do not determine a single excluded-middle formula"
-        return _discharge_ok(n, leaf_count, [(prems[0], Neg(alpha)), (prems[1], alpha)])
+        return _discharge_ok(l, count, [(leaves[0], Neg(alpha)), (leaves[1], alpha)])
     if r is NdRule.GEM:
         if prems[0].formula != g or prems[1].formula != g:
             return "premises must both conclude the conclusion"
-        wit = _gem_witness(n)
+        wit = _gem_witness(leaves[0], leaves[1])
         if wit is None:
             return "discharged leaves do not determine a single implication witness"
-        return _discharge_ok(n, leaf_count, [(prems[0], wit), (prems[1], wit.left)])
+        return _discharge_ok(l, count, [(leaves[0], wit), (leaves[1], wit.left)])
     raise AssertionError(f"unhandled rule {r}")
 
 
-def _em_alpha(n: Derivation) -> Formula | None:
-    """Recover the (EM) instantiation alpha from the bound leaves; any
-    alpha serves when the discharge is fully vacuous."""
-    if n.discharge is None:
-        return _FALLBACK
-    negs = _bound_leaves(n.premises[0], n.discharge)
-    poss = _bound_leaves(n.premises[1], n.discharge)
+def _em_alpha(negs: Sequence[Formula], poss: Sequence[Formula]) -> Formula | None:
+    """Recover the (EM) instantiation alpha from the formulas of the leaves
+    bound in its first (~alpha) and second (alpha) premise; any alpha
+    serves when the discharge is fully vacuous."""
     if poss and _uniform(poss):
         alpha = poss[0]
     elif negs and _uniform(negs) and isinstance(negs[0], Neg):
@@ -381,12 +481,10 @@ def _em_alpha(n: Derivation) -> Formula | None:
     return None
 
 
-def _gem_witness(n: Derivation) -> Imp | None:
-    """Recover the (GEM) instantiation alpha -> beta from the bound leaves."""
-    if n.discharge is None:
-        return _GEM_FALLBACK
-    imps = _bound_leaves(n.premises[0], n.discharge)
-    alphas = _bound_leaves(n.premises[1], n.discharge)
+def _gem_witness(imps: Sequence[Formula], alphas: Sequence[Formula]) -> Imp | None:
+    """Recover the (GEM) instantiation alpha -> beta from the formulas of
+    the leaves bound in its first (alpha -> beta) and second (alpha)
+    premise."""
     if imps and _uniform(imps) and isinstance(imps[0], Imp):
         wit = imps[0]
     elif not imps and alphas and _uniform(alphas):
@@ -420,15 +518,21 @@ def maximum_formulas(d: Derivation) -> list[MaxOccurrence]:
     """Occurrences that are conclusions of an introduction rule, (or_E),
     or (neg_and_E) and the major premise of an elimination, in
     leftmost-innermost order."""
-    out: list[MaxOccurrence] = []
 
-    def visit(n: Derivation, path: tuple[int, ...]) -> None:
-        for i, p in enumerate(n.premises):
-            visit(p, path + (i,))
+    def combine(n: Derivation, subs) -> list:
+        # each path is linked from the node up: (premise index, rest or None)
+        found = [((i, rest), f) for i, sub in enumerate(subs) for rest, f in sub]
         if n.rule in ELIM_RULES and n.premises[0].rule in _MAX_CANDIDATES:
-            out.append(MaxOccurrence(path + (0,), n.premises[0].formula))
+            found.append(((0, None), n.premises[0].formula))
+        return found
 
-    visit(d, ())
+    out = []
+    for link, f in fold(d, combine):
+        path = []
+        while link is not None:
+            i, link = link
+            path.append(i)
+        out.append(MaxOccurrence(tuple(path), f))
     return out
 
 
@@ -439,13 +543,18 @@ def is_normal(d: Derivation) -> bool:
 # ---------------------------------------------------------------------------
 # Structural helpers used by reduction and the bridge.
 
+def _rebuilt(n: Derivation, prems, discharge: int | None, label: int | None) -> Derivation:
+    """n with new premises and labels, or n itself if none of them changed."""
+    if discharge == n.discharge and label == n.label and all(a is b for a, b in zip(prems, n.premises)):
+        return n
+    return Derivation(n.rule, n.formula, tuple(prems), discharge, label)
+
+
 def relabel(d: Derivation, mapping: dict[int, int]) -> Derivation:
-    prems = tuple(relabel(p, mapping) for p in d.premises)
-    discharge = mapping.get(d.discharge, d.discharge) if d.discharge is not None else None
-    label = mapping.get(d.label, d.label) if d.label is not None else None
-    if prems == d.premises and discharge == d.discharge and label == d.label:
-        return d
-    return Derivation(d.rule, d.formula, prems, discharge, label)
+    def combine(n: Derivation, prems) -> Derivation:
+        return _rebuilt(n, prems, mapping.get(n.discharge, n.discharge), mapping.get(n.label, n.label))
+
+    return fold(d, combine)
 
 
 def refresh_labels(d: Derivation, start: int) -> tuple[Derivation, int]:
@@ -463,54 +572,49 @@ def subst_leaves(
     d: Derivation, hit: Callable[[Derivation], bool], replacement: Derivation, next_label: int
 ) -> tuple[Derivation, int]:
     """Substitute a copy of replacement for every assumption leaf n of d
-    with hit(n); each copy gets fresh internal labels.  Returns the new
-    tree and the next unused label."""
+    with hit(n); each copy gets fresh internal labels, drawn from left to
+    right.  Returns the new tree and the next unused label."""
+    counter = next_label
 
-    def go(n: Derivation, counter: list[int]) -> Derivation:
+    def combine(n: Derivation, prems) -> Derivation:
+        nonlocal counter
         if n.rule is NdRule.ASSUMPTION and hit(n):
-            copy, counter[0] = refresh_labels(replacement, counter[0])
+            copy, counter = refresh_labels(replacement, counter)
             return copy
-        prems = tuple(go(p, counter) for p in n.premises)
-        if prems == n.premises:
-            return n
-        return Derivation(n.rule, n.formula, prems, n.discharge, n.label)
+        return _rebuilt(n, prems, n.discharge, n.label)
 
-    box = [next_label]
-    return go(d, box), box[0]
-
-
-def bind_open(d: Derivation, target: Formula, label: int) -> Derivation:
-    """Attach label to every open assumption leaf with the target formula
-    (used just before adding the discharging node)."""
-    if d.rule is NdRule.ASSUMPTION and d.label is None and d.formula == target:
-        return Derivation(d.rule, d.formula, (), None, label)
-    prems = tuple(bind_open(p, target, label) for p in d.premises)
-    if prems == d.premises:
-        return d
-    return Derivation(d.rule, d.formula, prems, d.discharge, d.label)
+    return fold(d, combine), counter
 
 
 def replace_at(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivation:
-    if not path:
-        return new
-    i = path[0]
-    prems = list(d.premises)
-    prems[i] = replace_at(prems[i], path[1:], new)
-    return Derivation(d.rule, d.formula, tuple(prems), d.discharge, d.label)
+    """d with the node at path replaced by new; only the nodes on the path
+    are rebuilt."""
+    spine = []
+    for i in path:
+        spine.append(d)
+        d = d.premises[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        prems = list(node.premises)
+        prems[i] = new
+        new = Derivation(node.rule, node.formula, tuple(prems), node.discharge, node.label)
+    return new
 
 
 # ---------------------------------------------------------------------------
 # JSON derivation format.
 
 def derivation_to_obj(d: Derivation) -> dict:
-    if d.rule is NdRule.ASSUMPTION:
-        return {"rule": d.rule.value, "formula": show(d.formula), "label": d.label}
-    return {
-        "rule": d.rule.value,
-        "formula": show(d.formula),
-        "discharge": d.discharge,
-        "premises": [derivation_to_obj(p) for p in d.premises],
-    }
+    def combine(n: Derivation, prems) -> dict:
+        if n.rule is NdRule.ASSUMPTION:
+            return {"rule": n.rule.value, "formula": show(n.formula), "label": n.label}
+        return {
+            "rule": n.rule.value,
+            "formula": show(n.formula),
+            "discharge": n.discharge,
+            "premises": list(prems),
+        }
+
+    return fold(d, combine)
 
 
 def derivation_from_obj(obj: dict) -> Derivation:
@@ -536,7 +640,41 @@ def _label(obj: dict, name: str) -> int | None:
 
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
-    return json.dumps(derivation_to_obj(d), indent=indent)
+    """The text of json.dumps(derivation_to_obj(d), indent=indent).  It is
+    written by a pre-order walk, because json's encoder recurses once per
+    level of nesting and a derivation may be deeper than the recursion
+    limit allows."""
+
+    def newline(level: int) -> str:
+        return "" if indent is None else "\n" + " " * (indent * level)
+
+    sep = ", " if indent is None else ","
+    out: list[str] = []
+    stack: list = [(d, 0)]  # a node and its nesting level, or text to write
+    while stack:
+        n, level = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+            continue
+        inner = newline(level + 1)
+        out.append(
+            "{" + inner + '"rule": ' + json.dumps(n.rule.value) + sep
+            + inner + '"formula": ' + json.dumps(show(n.formula)) + sep + inner
+        )
+        if n.rule is NdRule.ASSUMPTION:
+            out.append('"label": ' + json.dumps(n.label) + newline(level) + "}")
+            continue
+        out.append('"discharge": ' + json.dumps(n.discharge) + sep + inner + '"premises": ')
+        prems = n.premises
+        if not prems:
+            out.append("[]" + newline(level) + "}")
+            continue
+        item = newline(level + 2)
+        stack.append((inner + "]" + newline(level) + "}", 0))
+        for i in range(len(prems) - 1, -1, -1):
+            stack.append((prems[i], level + 2))
+            stack.append(((sep if i else "[") + item, 0))
+    return "".join(out)
 
 
 def derivation_from_json(text: str) -> Derivation:

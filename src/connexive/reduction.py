@@ -69,6 +69,12 @@ def reduce_step(sys_id: NdSystem, d: Derivation, at: MaxOccurrence) -> Derivatio
     require_valid(sys_id, d)
     if at not in maximum_formulas(d):
         raise ValueError("not a maximum occurrence of the derivation")
+    return _reduce_step(sys_id, d, at)
+
+
+def _reduce_step(sys_id: NdSystem, d: Derivation, at: MaxOccurrence) -> Derivation:
+    """reduce_step on a derivation already checked, at one of its maximum
+    occurrences; the contractum is still checked."""
     parent_path = at.path[:-1]
     parent = d.at(parent_path)
     fresh = max_label(d) + 1
@@ -132,24 +138,6 @@ def _permute(parent: Derivation, idx: int, fresh: int) -> Derivation:
     return Derivation(node.rule, parent.formula, tuple(new_prems), node.discharge)
 
 
-def permute_general(sys_id: NdSystem, d: Derivation, path: tuple[int, ...]) -> Derivation:
-    """Manual permutation with an arbitrary parent rule R': push the rule
-    above the (or_E)/(neg_and_E)/(EM)/(GEM) node at path.  Exposed for
-    experimentation; the normalizer never calls it."""
-    require_valid(sys_id, d)
-    if not path:
-        raise ValueError("path must point below the root")
-    node = d.at(path)
-    if node.rule not in (NdRule.OR_E, NdRule.NEG_AND_E, NdRule.EM, NdRule.GEM):
-        raise ValueError("node is not a permutable branching rule")
-    parent = d.at(path[:-1])
-    out = replace_at(d, path[:-1], _permute(parent, path[-1], max_label(d) + 1))
-    rep = check_derivation(sys_id, out)
-    if not rep.ok:
-        raise InvalidProof(rep)
-    return out
-
-
 @dataclass(frozen=True)
 class NormalizationResult:
     derivation: Derivation
@@ -167,6 +155,6 @@ def normalize_by_reduction(
         maxima = maximum_formulas(d)
         if not maxima:
             return NormalizationResult(d, steps, True)
-        d = reduce_step(sys_id, d, maxima[0])
+        d = _reduce_step(sys_id, d, maxima[0])
         steps += 1
     return NormalizationResult(d, steps, is_normal(d))

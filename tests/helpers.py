@@ -11,7 +11,6 @@ from connexive.natded import (
     NdRule,
     NdSystem,
     assumption,
-    bind_open,
     check_derivation,
     max_label,
     open_assumptions,
@@ -60,6 +59,17 @@ def rand_sequent(
 ) -> Sequent:
     ctx = [rand_formula(rng, max_size, atoms, allow_neg) for _ in range(rng.randint(0, max_ctx))]
     return seq(ctx, rand_formula(rng, max_size, atoms, allow_neg))
+
+
+def bind_open(d: Derivation, target: Formula, label: int) -> Derivation:
+    """Attach label to every open assumption leaf with the target formula
+    (used just before adding the discharging node)."""
+    if d.rule is NdRule.ASSUMPTION and d.label is None and d.formula == target:
+        return Derivation(d.rule, d.formula, (), None, label)
+    prems = tuple(bind_open(p, target, label) for p in d.premises)
+    if prems == d.premises:
+        return d
+    return Derivation(d.rule, d.formula, prems, d.discharge, d.label)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +232,60 @@ def plant_detours(rng: random.Random, sys_id: NdSystem, d: Derivation, count: in
     rep = check_derivation(sys_id, d)
     assert rep.ok, rep.message()
     return d
+
+
+# ---------------------------------------------------------------------------
+# Mutated derivations: valid ones with random faults, for checker tests.
+
+def _node_paths(d: Derivation) -> list[tuple[int, ...]]:
+    paths, stack = [], [((), d)]
+    while stack:
+        path, n = stack.pop()
+        paths.append(path)
+        stack.extend((path + (i,), p) for i, p in enumerate(n.premises))
+    return paths
+
+
+def mutate(rng: random.Random, d: Derivation) -> Derivation:
+    """d with one node changed: its formula, rule, discharge label, leaf
+    label, or premise list."""
+    paths = _node_paths(d)
+    path = rng.choice(paths)
+    n = d.at(path)
+    rule, phi, prems, discharge, label = n.rule, n.formula, list(n.premises), n.discharge, n.label
+    labels = [None, *range(1, max_label(d) + 2)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        phi = rng.choice([d.at(q).formula for q in paths] + [rand_formula(rng, 3)])
+    elif kind == 1:
+        rule = rng.choice(list(NdRule))
+    elif kind == 2:
+        discharge = rng.choice(labels)
+    elif kind == 3:
+        label = rng.choice(labels)
+    elif prems and rng.random() < 0.5:
+        i = rng.randrange(len(prems))
+        if rng.random() < 0.5:
+            del prems[i]
+        else:
+            prems.insert(rng.randrange(len(prems) + 1), prems[i])
+    else:
+        prems.insert(rng.randrange(len(prems) + 1), assumption(rand_formula(rng, 3), rng.choice(labels)))
+    return replace_at(d, path, Derivation(rule, phi, tuple(prems), discharge, label))
+
+
+def mutated_derivations(rng: random.Random, count: int):
+    """count pairs (system, derivation): a random derivation, with planted
+    detours half the time, after 0-3 mutations."""
+    systems = list(NdSystem)
+    for k in range(count):
+        sys_id = systems[k % len(systems)]
+        d = rand_derivation(rng, sys_id, max_nodes=rng.randint(2, 16))
+        if rng.random() < 0.5:
+            d = plant_detours(rng, sys_id, d, rng.randint(1, 2))
+        for _ in range(rng.randint(0, 3)):
+            d = mutate(rng, d)
+        yield sys_id, d
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from connexive.natded import (
     NdSystem,
     assumption,
     check_derivation,
+    derivation_to_json,
     derivation_to_obj,
     end_formula,
     is_normal,
     open_assumptions,
 )
 from connexive.prover import ResourceExceeded, SearchConfig, Verdict, decide, eliminate_cut
+from connexive.reduction import normalize_by_reduction
 from connexive.sequent import Calculus, Sequent, SequentProof, check_proof, seq
 
 from helpers import plant_detours, rand_derivation, rand_sequent, shared_or_chain
@@ -252,3 +254,29 @@ def test_bridge_output_digest_unchanged():
         "af578035c73bb0aec37699a3365d307a879f2c90518ba086ee544f4b705fac0f",
         "6251bb79d03782c953704cf31df4a52e33d5368cc05c9e6139a799d1b76e8c5c",
     )
+
+
+def test_raw_output_digest_unchanged():
+    """The JSON text of normalize_by_reduction, normalize and sc_to_nd
+    outputs, labels included, hashes to the digest this same loop gives on
+    commit 832dfee, before the natded walks became iterative: the fresh
+    labels are drawn in the same order, and the JSON writer writes what
+    json.dumps wrote."""
+    cfg = SearchConfig(memo=False)
+    digest = hashlib.sha256()
+    rng = random.Random(46)
+    for sys_id in NdSystem:
+        for _ in range(25):
+            d = plant_detours(rng, sys_id, rand_derivation(rng, sys_id, max_nodes=10), 3)
+            digest.update(derivation_to_json(normalize_by_reduction(sys_id, d).derivation).encode())
+            digest.update(derivation_to_json(normalize(sys_id, d, cfg)).encode())
+    for calc in (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN):
+        k = done = 0
+        while done < 15:
+            s = rand_sequent(random.Random(1000 + k), 8)
+            k += 1
+            res = decide(calc, s, cfg)
+            if res.verdict is Verdict.PROVABLE:
+                done += 1
+                digest.update(derivation_to_json(sc_to_nd(calc, res.proof, cfg), indent=2).encode())
+    assert digest.hexdigest() == "df1144a8852c90cce11b593e185941712ea10339f65f968b51cdd03a1512feb6"

@@ -179,6 +179,20 @@ def test_check_malformed_derivation(capsys, monkeypatch, text, message):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "goal", ["=> " + "~" * 1200 + "p", "=> " + "(" * 3000 + "p" + ")" * 3000], ids=["negations", "parentheses"]
+)
+def test_prove_deep_formula_is_input_error(capsys, goal):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        code, out, err = run(capsys, "prove", "sc", goal)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out == "" and "formula is nested too deeply" in err
+
+
 def test_shared_proof_file(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(proof_to_json(shared_or_chain(40)))

@@ -1,29 +1,35 @@
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
 from connexive.formula import And, Imp, Neg, Or, Var
 from connexive.natded import (
     Derivation,
+    MaxOccurrence,
     NdRule,
     NdSystem,
     assumption,
-    bind_open,
     check_derivation,
     derivation_from_json,
     derivation_to_json,
+    derivation_to_obj,
     discharge_labels,
     end_formula,
     is_normal,
     max_label,
     maximum_formulas,
     open_assumptions,
+    refresh_labels,
     replace_at,
     require_valid,
     subst_leaves,
 )
+from connexive.reduction import reduce_step
 
-from helpers import rand_derivation
+from helpers import bind_open, mutated_derivations, rand_derivation
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -184,8 +190,80 @@ def test_json_roundtrip():
         assert derivation_from_json(derivation_to_json(d, indent=2)) == d
 
 
+def test_json_text_is_stdlib_json():
+    # the writer walks iteratively but must write what json.dumps writes
+    rng = random.Random(24)
+    for _ in range(20):
+        d = rand_derivation(rng, NdSystem.NCN, max_nodes=12)
+        for indent in (None, 0, 2):
+            assert derivation_to_json(d, indent) == json.dumps(derivation_to_obj(d), indent=indent)
+
+
 def test_replace_at_and_labels():
     rng = random.Random(23)
     d = rand_derivation(rng, NdSystem.NC, max_nodes=10)
     assert replace_at(d, (), assumption(p)) == assumption(p)
     assert max_label(d) >= max(discharge_labels(d), default=0)
+
+
+def test_check_report_digest_unchanged():
+    """check_derivation's reports (verdict, path, rule, reason) on valid
+    derivations with 0-3 random faults hash to the digest this same loop
+    gives on commit 832dfee, whose checker walked each discharging node's
+    subtree again.  It came out the same under several PYTHONHASHSEEDs."""
+    digest = hashlib.sha256()
+    for sys_id, d in mutated_derivations(random.Random(61), 1500):
+        rep = check_derivation(sys_id, d)
+        digest.update(repr((rep.ok, rep.path, rep.rule, rep.reason)).encode())
+    assert digest.hexdigest() == "5a964a6518cba9701c1e0e95f7146acb3db787ce62f24ae912240eef2f753800"
+
+
+class _Counted(Derivation):
+    """A derivation node that counts the reads of its premises."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "premises":
+            _Counted.reads += 1
+        return object.__getattribute__(self, name)
+
+
+def or_e_chain(n, node=Derivation):
+    """n (or_E) levels, each discharging its own label, over a detour
+    p & q / p whose p leaf the lowest level binds; every formula is small,
+    so only the derivation is deep."""
+    detour = node(NdRule.AND_I, And(p, q), (node(NdRule.ASSUMPTION, p, (), None, 1), node(NdRule.ASSUMPTION, q)))
+    d = node(NdRule.AND_E1, p, (detour,))
+    for k in range(1, n + 1):
+        d = node(NdRule.OR_E, p, (node(NdRule.ASSUMPTION, Or(p, q)), d, node(NdRule.ASSUMPTION, p)), k)
+    return d
+
+
+def test_natded_walks_are_linear():
+    for n in (500, 1000):
+        d = or_e_chain(n, _Counted)
+        _Counted.reads = 0
+        assert check_derivation(NdSystem.NC, d).ok
+        assert _Counted.reads <= 4 * (3 * n + 4)
+    n = 3000
+    d = or_e_chain(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        assert check_derivation(NdSystem.NC, d).ok
+        assert open_assumptions(d) == frozenset({p, q, Or(p, q)})
+        assert max_label(d) == n and discharge_labels(d) == set(range(1, n + 1))
+        deep = (1,) * n + (0,)
+        assert maximum_formulas(d) == [MaxOccurrence(deep, And(p, q))]
+        assert d.node_count() == 3 * n + 4
+        copy, nxt = refresh_labels(d, n + 1)
+        assert nxt == 2 * n + 1 and check_derivation(NdSystem.NC, copy).ok
+        reduced = reduce_step(NdSystem.NC, d, MaxOccurrence(deep, And(p, q)))
+        assert is_normal(reduced) and reduced.at(deep[:-1]).label == 1
+        swapped, _ = subst_leaves(d, lambda leaf: leaf.label == 1, assumption(p), 0)
+        assert swapped.node_count() == 3 * n + 4 and check_derivation(NdSystem.NC, swapped).ok
+        assert derivation_to_json(d).count('"rule"') == 3 * n + 4
+        assert derivation_to_obj(d)["discharge"] == n
+    finally:
+        sys.setrecursionlimit(limit)

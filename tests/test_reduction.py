@@ -9,7 +9,6 @@ from connexive.natded import (
     NdRule,
     NdSystem,
     assumption,
-    bind_open,
     check_derivation,
     end_formula,
     is_normal,
@@ -20,11 +19,10 @@ from connexive.reduction import (
     ReductionKind,
     classify,
     normalize_by_reduction,
-    permute_general,
     reduce_step,
 )
 
-from helpers import plant_detours, rand_derivation
+from helpers import bind_open, plant_detours, rand_derivation
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -142,16 +140,6 @@ def test_reduce_rejects_non_maximum():
         reduce_step(NdSystem.NC, d, MaxOccurrence((0,), And(p, q)))
 
 
-def test_permute_general():
-    major = assumption(Or(p, q))
-    goal = And(p, q)
-    node = Derivation(NdRule.OR_E, goal, (major, assumption(goal), assumption(goal)), 1)
-    d = Derivation(NdRule.AND_E1, p, (node,))
-    out = permute_general(NdSystem.NC, d, (0,))
-    assert out.rule is NdRule.OR_E and end_formula(out) == p
-    assert check_derivation(NdSystem.NC, out).ok
-
-
 def test_normalize_by_reduction_random():
     rng = random.Random(31)
     for sys_id in NdSystem:
@@ -166,6 +154,31 @@ def test_normalize_by_reduction_random():
             assert open_assumptions(res.derivation) <= open_assumptions(d)
             rep = check_derivation(sys_id, res.derivation)
             assert rep.ok, rep.message()
+
+
+def test_normalize_by_reduction_checks_each_step_once(monkeypatch):
+    """The input is checked once and each contractum once: a step does not
+    check again the derivation the previous step returned."""
+    import connexive.natded
+    import connexive.reduction
+
+    calls = []
+    real = connexive.natded.check_derivation
+
+    def counting(sys_id, d):
+        calls.append(d)
+        return real(sys_id, d)
+
+    monkeypatch.setattr(connexive.natded, "check_derivation", counting)
+    monkeypatch.setattr(connexive.reduction, "check_derivation", counting)
+    rng = random.Random(33)
+    for sys_id in NdSystem:
+        for _ in range(5):
+            d = plant_detours(rng, sys_id, rand_derivation(rng, sys_id, max_nodes=10), 2)
+            calls.clear()
+            res = normalize_by_reduction(sys_id, d)
+            assert res.completed and res.steps > 0
+            assert len(calls) == 1 + res.steps
 
 
 def test_reduction_preserves_end_formula_stepwise():
