@@ -27,6 +27,7 @@ from .checking import InvalidProof
 from .formula import Formula, show
 from .natded import (
     DISCHARGING_RULES,
+    ELIM_RULES,
     INTRO_RULES,
     Derivation,
     NdRule,
@@ -41,7 +42,7 @@ from .natded import (
     refresh_labels,
     require_valid,
 )
-from .prover import ResourceExceeded, SearchConfig, SearchStats, Verdict, decide, eliminate_cut
+from .prover import ResourceExceeded, SearchConfig, SearchStats, _rederive
 from .sequent import (
     SCHEMAS,
     Calculus,
@@ -154,25 +155,31 @@ _STARRED = {Calculus.SMC: Calculus.SMC_STAR, Calculus.SCN: Calculus.SCN_STAR}
 
 def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -> Derivation:
     """Normal derivation of a cut-free proof's conclusion in the paired ND
-    system.  The translation runs from the root up, with the derivation
-    that stands for each context formula; that derivation is copied, with
+    system.  p is checked in calc first.  A proof in smc or scn, which may
+    contain cuts, is then re-derived in the equivalent cut-free starred
+    calculus, and that proof is translated.
+
+    The translation runs from the root up, with the derivation that
+    stands for each context formula; that derivation is copied, with
     fresh discharge labels, at each axiom and or_E/neg_and_E major premise
     that uses it.  cfg.node_budget bounds the proof search of the starred
     re-derivation and also the size of the cut-free proof as a tree: a
     proof whose tree expansion has more nodes raises ResourceExceeded, so
     normalize, which ends here, is bounded by it too."""
-    if calc in _STARRED:
-        # re-derive in the cut-free equivalent starred calculus first
-        star = _STARRED[calc]
-        result = decide(star, p.conclusion, cfg)
-        if result.verdict is not Verdict.PROVABLE:
-            raise RuntimeError(f"equivalent starred re-derivation failed: {result.verdict.value}")
-        return sc_to_nd(star, result.proof, cfg)
-    if calc not in PAIRED_SYSTEM:
+    if calc not in PAIRED_SYSTEM and calc not in _STARRED:
         raise ValueError(f"unsupported calculus {calc.value}")
     rep = check_proof(calc, p)
     if not rep.ok:
         raise InvalidProof(rep)
+    if calc in _STARRED:
+        calc = _STARRED[calc]
+        p = _rederive(calc, p.conclusion, cfg)
+    return _sc_to_nd(calc, p, cfg)
+
+
+def _sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None) -> Derivation:
+    """sc_to_nd of a checked proof p in a calculus of PAIRED_SYSTEM,
+    without the input check: the output is still checked."""
     if not p.is_cut_free():
         raise ValueError("input proof contains cut")
     # ND derivations are trees: the translation walks the proof's tree
@@ -194,7 +201,7 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
 
 
 def _require_normal(d: Derivation, end: Formula, ctx: frozenset[Formula]) -> None:
-    """The contract of sc_to_nd and normalize, checked even under -O."""
+    """The contract of sc_to_nd, and so of normalize, checked even under -O."""
     if not is_normal(d):
         raise RuntimeError("derivation is not normal")
     if d.formula != end:
@@ -242,11 +249,29 @@ def _to_nd(p: SequentProof, env: dict[Formula, Derivation], counter: list[int]) 
 
 def normalize(sys_id: NdSystem, d: Derivation, cfg: SearchConfig | None = None) -> Derivation:
     """Normal derivation with the same end formula and oa contained in
-    oa(d), via translation, cut elimination, and translation back."""
+    oa(d), via translation, cut elimination, and translation back.
+
+    Cut elimination re-derives the conclusion of the proof, the sequent
+    oa(d) => end(d), so a d whose translation would contain a cut, as the
+    translation of every elimination does, is not translated: the search
+    proves oa(d) => end(d) cut-free directly.  An elimination-free d
+    translates to a cut-free proof, which is used as it is.  d is checked
+    once, on entry, and the result once, by the translation back."""
     require_valid(sys_id, d)
     calc = PAIRED_CALCULUS[sys_id]
-    proof = nd_to_sc(sys_id, d)
-    cut_free = eliminate_cut(calc, proof, cfg)
-    out = sc_to_nd(calc, cut_free, cfg)
-    _require_normal(out, d.formula, open_assumptions(d))
-    return out
+    oa = open_assumptions(d)
+    if _has_elimination(d):
+        proof = _rederive(calc, Sequent(oa, d.formula), cfg)
+    else:
+        proof = _to_sc(calc, d, oa, discharged_leaves(d))
+    return _sc_to_nd(calc, proof, cfg)
+
+
+def _has_elimination(d: Derivation) -> bool:
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if n.rule in ELIM_RULES:
+            return True
+        stack.extend(n.premises)
+    return False

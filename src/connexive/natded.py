@@ -619,16 +619,25 @@ def derivation_to_obj(d: Derivation) -> dict:
 
 def derivation_from_obj(obj: dict) -> Derivation:
     """Inverse of derivation_to_obj.  Malformed input raises ValueError."""
+    return _from_obj(obj, {})
+
+
+def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Derivation:
+    """derivation_from_obj, parsing each distinct formula text once:
+    formulas maps the texts read so far to their formulas, and every
+    occurrence of a text gets the same object."""
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
     rule = NdRule(json_field(obj, "rule"))
     text = json_field(obj, "formula")
     if not isinstance(text, str):
         raise ValueError(f"formula must be a string, got {text!r:.80}")
-    phi = parse(text)
+    phi = formulas.get(text)
+    if phi is None:
+        phi = formulas[text] = parse(text)
     if rule is NdRule.ASSUMPTION:
         return Derivation(rule, phi, label=_label(obj, "label"))
-    prems = tuple(derivation_from_obj(p) for p in json_list(obj.get("premises", []), "premises"))
+    prems = tuple(_from_obj(p, formulas) for p in json_list(obj.get("premises", []), "premises"))
     return Derivation(rule, phi, prems, _label(obj, "discharge"))
 
 

@@ -438,7 +438,13 @@ def eliminate_cut(calc: Calculus, proof: SequentProof, cfg: SearchConfig | None 
         raise InvalidProof(rep)
     if proof.is_cut_free():
         return proof
-    result = decide(calc, proof.conclusion, cfg)
+    return _rederive(calc, proof.conclusion, cfg)
+
+
+def _rederive(calc: Calculus, s: Sequent, cfg: SearchConfig | None) -> SequentProof:
+    """The cut-free proof of s that decide finds, for a sequent the caller
+    knows to be provable in calc: decide has checked it."""
+    result = decide(calc, s, cfg)
     if result.verdict is Verdict.RESOURCE_EXCEEDED:
         raise ResourceExceeded(result.stats)
     if result.verdict is Verdict.UNPROVABLE:

@@ -7,6 +7,7 @@ import pytest
 from connexive.bridge import PAIRED_CALCULUS, nd_to_sc, normalize, sc_to_nd
 from connexive.formula import And, Imp, Neg, Or, Var
 from connexive.natded import (
+    ELIM_RULES,
     Derivation,
     NdRule,
     NdSystem,
@@ -179,6 +180,114 @@ def test_normalize_pipeline():
             assert is_normal(out)
             assert end_formula(out) == end_formula(d)
             assert oa_relevant(out) <= oa_relevant(d)
+
+
+class CheckCounter:
+    """Counts, through monkeypatch, the checker calls of the bridge:
+    check_derivation calls, check_proof calls made outside decide as
+    (calculus, proof) pairs, and _to_sc calls."""
+
+    def __init__(self, monkeypatch):
+        import connexive.bridge as bridge
+        import connexive.natded as natded
+        import connexive.prover as prover
+
+        self.derivations = 0
+        self.proofs: list = []
+        self.to_sc = 0
+        self.deciding = 0
+        check_d, check_p, decide_, to_sc = natded.check_derivation, prover.check_proof, prover.decide, bridge._to_sc
+
+        def count_derivation(sys_id, d):
+            self.derivations += 1
+            return check_d(sys_id, d)
+
+        def count_proof(calc, proof):
+            if not self.deciding:
+                self.proofs.append((calc, proof))
+            return check_p(calc, proof)
+
+        def count_decide(*args):
+            self.deciding += 1
+            try:
+                return decide_(*args)
+            finally:
+                self.deciding -= 1
+
+        def count_to_sc(*args):
+            self.to_sc += 1
+            return to_sc(*args)
+
+        for module in (natded, bridge):
+            monkeypatch.setattr(module, "check_derivation", count_derivation)
+        for module in (prover, bridge):
+            monkeypatch.setattr(module, "check_proof", count_proof)
+            monkeypatch.setattr(module, "decide", count_decide, raising=False)
+        monkeypatch.setattr(bridge, "_to_sc", count_to_sc)
+
+    def reset(self):
+        self.derivations, self.proofs, self.to_sc = 0, [], 0
+
+
+def has_elimination(d: Derivation) -> bool:
+    return d.rule in ELIM_RULES or any(has_elimination(sub) for sub in d.premises)
+
+
+def test_bridge_checks_each_object_once(monkeypatch):
+    """Each public call checks its input and its output once.  normalize
+    checks d and its result, and re-derives oa(d) => end(d) when d has an
+    elimination, without translating d: check_proof then runs only under
+    decide."""
+    counter = CheckCounter(monkeypatch)
+    rng = random.Random(47)
+    for sys_id in NdSystem:
+        calc = PAIRED_CALCULUS[sys_id]
+        for _ in range(5):
+            d = plant_detours(rng, sys_id, rand_derivation(rng, sys_id, max_nodes=8), 2)
+            assert has_elimination(d)
+            counter.reset()
+            out = normalize(sys_id, d, SearchConfig(memo=False))
+            assert (counter.to_sc, counter.derivations, counter.proofs) == (0, 2, [])
+            assert is_normal(out)
+
+            counter.reset()
+            proof = nd_to_sc(sys_id, d)
+            assert counter.derivations == 1 and counter.proofs == [(calc, proof)]
+            assert not proof.is_cut_free()
+
+            counter.reset()
+            cut_free = eliminate_cut(calc, proof, SearchConfig(memo=False))
+            assert counter.derivations == 0 and counter.proofs == [(calc, proof)]
+
+            counter.reset()
+            sc_to_nd(calc, cut_free)
+            assert counter.derivations == 1 and counter.proofs == [(calc, cut_free)]
+    # a proof in a Peirce calculus is checked there, then re-derived
+    peirce = Imp(Imp(Imp(p, q), p), p)
+    for calc in (Calculus.SMC, Calculus.SCN):
+        proof = decide(calc, seq([], peirce), SearchConfig(memo=False)).proof
+        counter.reset()
+        sc_to_nd(calc, proof, SearchConfig(memo=False))
+        assert counter.derivations == 1 and counter.proofs == [(calc, proof)]
+
+
+def test_normalize_elimination_free_is_the_roundtrip():
+    """An elimination-free d translates to a cut-free proof, which
+    normalize translates back as it is."""
+    rng = random.Random(48)
+    found = 0
+    for sys_id in NdSystem:
+        calc = PAIRED_CALCULUS[sys_id]
+        for n in (1, 3):
+            d = imp_and_chain(n)
+            assert normalize(sys_id, d) == sc_to_nd(calc, nd_to_sc(sys_id, d))
+        for _ in range(100):
+            d = rand_derivation(rng, sys_id, max_nodes=6)
+            if has_elimination(d):
+                continue
+            found += 1
+            assert normalize(sys_id, d) == sc_to_nd(calc, nd_to_sc(sys_id, d))
+    assert found >= 20
 
 
 def test_nd_to_sc_rejects_invalid():

@@ -226,6 +226,38 @@ def test_transform_nd2sc_sc2nd(capsys, tmp_path):
     assert check_derivation(NdSystem.NC, nd).ok
 
 
+@pytest.mark.parametrize("calculus", ["sc", "smc", "smc-star", "scn"])
+def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
+    """sc2nd checks its input in the calculus named, before smc and scn
+    re-derive its conclusion in their starred calculi: an (init1) leaf
+    is no proof of q => p -> p, though q => p -> p is provable."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"rule": "init1", "sequent": {"ctx": ["q"], "suc": "p -> p"}, "principal": None, "premises": []}
+    ))
+    code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", calculus)
+    assert code == 1
+    assert out == "" and "init1 succedent must be an atom" in err
+
+
+def test_transform_sc2nd_starred_budget_exhausted(capsys, tmp_path):
+    """A budget too small for the starred re-derivation is a resource
+    limit (exit 3), as it is for prove."""
+    clear_memo()
+    code, out, _ = run(capsys, "prove", "smc", "((q -> p) -> q) -> q")
+    assert code == 0
+    path = tmp_path / "peirce.json"
+    path.write_text(out)
+    clear_memo()
+    code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", "smc", "--budget", "1")
+    assert code == 3
+    assert out == "" and "error" in err
+    code, out, _ = run(capsys, "transform", "sc2nd", str(path), "--calculus", "smc")
+    assert code == 0
+    assert check_derivation(NdSystem.NMC, derivation_from_json(out)).ok
+    clear_memo()
+
+
 def test_transform_normalize_and_reduce(capsys, tmp_path):
     detour = Derivation(
         NdRule.IMP_E,

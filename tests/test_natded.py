@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from connexive.formula import And, Imp, Neg, Or, Var
+from connexive.formula import And, Imp, Neg, Or, Var, show
 from connexive.natded import (
     Derivation,
     MaxOccurrence,
@@ -188,6 +188,35 @@ def test_json_roundtrip():
         d = rand_derivation(rng, NdSystem.NCN, max_nodes=12)
         assert derivation_from_json(derivation_to_json(d)) == d
         assert derivation_from_json(derivation_to_json(d, indent=2)) == d
+
+
+def test_json_reader_parses_each_text_once(monkeypatch):
+    """derivation_from_json parses each distinct formula text of a file
+    once, and every node with that text gets the same formula object."""
+    import connexive.natded as natded
+
+    parses = [0]
+    parse = natded.parse
+
+    def counting_parse(text):
+        parses[0] += 1
+        return parse(text)
+
+    monkeypatch.setattr(natded, "parse", counting_parse)
+    rng = random.Random(25)
+    for sys_id in NdSystem:
+        d = rand_derivation(rng, sys_id, max_nodes=20)
+        parses[0] = 0
+        back = derivation_from_json(derivation_to_json(d))
+        nodes, stack = [], [back]
+        while stack:
+            n = stack.pop()
+            nodes.append(n)
+            stack.extend(n.premises)
+        texts = {show(n.formula) for n in nodes}
+        assert len(texts) < len(nodes)  # some text repeats
+        assert len({id(n.formula) for n in nodes}) == len(texts) == parses[0]
+        assert back == d
 
 
 def test_json_text_is_stdlib_json():
