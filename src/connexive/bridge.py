@@ -3,7 +3,9 @@ calculus, and the roundtrip normalizer.
 
 Both translations work top-down and carry the assumptions in scope down
 the tree, as the textbook translations do (Troelstra & Schwichtenberg,
-Basic Proof Theory, 2nd ed., 3.3), so each node is built once.
+Basic Proof Theory, 2nd ed., 3.3), so each node is built once.  Neither
+has a rule table of its own: each reads natded.SC_RULE, one way or the
+other, and builds premises from the paired rule's sequent.SCHEMAS entry.
 
 nd_to_sc proves oa(D) => end(D), and every subderivation from the
 assumptions in scope at it: a discharging rule hands its premises that
@@ -29,11 +31,13 @@ from .natded import (
     DISCHARGING_RULES,
     ELIM_RULES,
     INTRO_RULES,
+    PAIRED_CALCULUS,
+    SC_RULE,
     Derivation,
     NdRule,
     NdSystem,
-    _em_alpha,
-    _gem_witness,
+    _ELIMS,
+    _RECOVER,
     assumption,
     check_derivation,
     discharged_leaves,
@@ -54,43 +58,11 @@ from .sequent import (
     seq,
 )
 
-PAIRED_CALCULUS = {
-    NdSystem.NC: Calculus.SC,
-    NdSystem.NC3: Calculus.SC3,
-    NdSystem.NMC: Calculus.SMC_STAR,
-    NdSystem.NCN: Calculus.SCN_STAR,
-}
 PAIRED_SYSTEM = {calc: sys_id for sys_id, calc in PAIRED_CALCULUS.items()}
-
-# ND rules that match one sequent rule premise for premise: introductions,
-# EM and GEM, and the two eliminations whose minor premises are the
-# premises of their left rule.
-_SC_RULE = {
-    NdRule.IMP_I: Rule.IMP_RIGHT,
-    NdRule.AND_I: Rule.AND_RIGHT,
-    NdRule.OR_I1: Rule.OR_RIGHT1,
-    NdRule.OR_I2: Rule.OR_RIGHT2,
-    NdRule.NEGNEG_I: Rule.NEG_RIGHT,
-    NdRule.NEG_IMP_I: Rule.NEG_IMP_RIGHT,
-    NdRule.NEG_AND_I1: Rule.NEG_AND_RIGHT1,
-    NdRule.NEG_AND_I2: Rule.NEG_AND_RIGHT2,
-    NdRule.NEG_OR_I: Rule.NEG_OR_RIGHT,
-    NdRule.EM: Rule.EX_MIDDLE,
-    NdRule.GEM: Rule.G_EX_MIDDLE,
-    NdRule.OR_E: Rule.OR_LEFT,
-    NdRule.NEG_AND_E: Rule.NEG_AND_LEFT,
-}
-_ND_RULE = {sc: nd for nd, sc in _SC_RULE.items()}
-# The other left rules, each with the eliminations that derive the
-# formulas it adds to its last premise's context, in the schema's order.
-_ELIMS = {
-    Rule.IMP_LEFT: (NdRule.IMP_E,),
-    Rule.NEG_IMP_LEFT: (NdRule.NEG_IMP_E,),
-    Rule.AND_LEFT: (NdRule.AND_E1, NdRule.AND_E2),
-    Rule.NEG_LEFT: (NdRule.NEGNEG_E,),
-    Rule.NEG_OR_LEFT: (NdRule.NEG_OR_E1, NdRule.NEG_OR_E2),
-}
-_LEFT_RULE = {nd: sc for sc, nds in _ELIMS.items() for nd in nds}
+# SC_RULE read backwards: a left rule whose eliminations conclude the
+# formulas it adds maps to them in _ELIMS; every other rule to its one ND
+# rule.
+_ND_RULE = {sc: nd for nd, sc in SC_RULE.items() if sc not in _ELIMS}
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +94,20 @@ def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula], discharged) -
     r, g = d.rule, d.formula
     if r is NdRule.ASSUMPTION:
         return identity_proof(calc, g, ctx)
-    if r in _LEFT_RULE:
+    rule = SC_RULE[r]
+    if rule in _ELIMS:
         # a left rule over identity leaves; the major premise, then the
         # minor one of ->E and ∼->E, is cut in below it
-        rule, major, minors = _LEFT_RULE[r], d.premises[0].formula, d.premises[1:]
+        major, minors = d.premises[0].formula, d.premises[1:]
         leaves = tuple(identity_proof(calc, s, added) for added, s in SCHEMAS[rule](g, major))
         proof = SequentProof(seq([major, *(m.formula for m in minors)], g), rule, major, leaves)
         for prem in d.premises:
             proof = _cut(_to_sc(calc, prem, ctx, discharged), proof)
         return proof
-    rule, hyps = _SC_RULE[r], d.premises
+    hyps = d.premises
     if r in INTRO_RULES:
-        bound = discharged.get(d.discharge, ((), ()))
-        inst = _em_alpha(*bound) if r is NdRule.EM else _gem_witness(*bound) if r is NdRule.GEM else None
+        recover = _RECOVER.get(r)  # the principal of EM and GEM
+        inst = None if recover is None else recover(*discharged.get(d.discharge, ((), ())))
     else:
         # or_E, neg_and_E: the minor premises are the left rule's premises
         inst, hyps = hyps[0].formula, hyps[1:]

@@ -39,6 +39,7 @@ from .sequent import (
     parse_sequent,
     proof_from_json,
     proof_to_json,
+    weaken_proof,
 )
 
 EXIT_OK = 0
@@ -153,8 +154,6 @@ def cmd_transform(args) -> int:
             return EXIT_NEGATIVE
         return EXIT_OK
     if verb == "weaken":
-        from .sequent import weaken_proof
-
         calc = _calculus(args.calculus)
         extra = frozenset(parse(t) for t in args.by.split(",") if t.strip())
         print(proof_to_json(weaken_proof(calc, proof_from_json(text), extra), indent=2))
@@ -232,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
     except (InvalidProof, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NEGATIVE

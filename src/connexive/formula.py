@@ -144,36 +144,31 @@ def has_primed(phi: Formula) -> bool:
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4
 
-_ASCII = {"neg": "~", "and": " & ", "or": " | ", "imp": " -> "}
-_UNICODE = {"neg": "∼", "and": " ∧ ", "or": " ∨ ", "imp": " → "}
 
-
-def show(phi: Formula, unicode: bool = False) -> str:
-    """Minimal-parenthesis rendering of a formula.  The ASCII text is
-    stored on the node the first time it is asked for."""
-    if unicode:
-        return _show(phi, _UNICODE)
+def show(phi: Formula) -> str:
+    """Minimal-parenthesis rendering of a formula.  The text is stored on
+    the node the first time it is asked for."""
     try:
         return phi._text
     except AttributeError:
-        text = _show(phi, _ASCII)
+        text = _show(phi)
         _set(phi, "_text", text)
         return text
 
 
-def _show(phi: Formula, sym: dict) -> str:
+def _show(phi: Formula) -> str:
     if isinstance(phi, Var):
         return phi.name + ("'" if phi.primed else "")
     if isinstance(phi, Neg):
-        return sym["neg"] + _sub(phi.body, _PREC_NEG, sym)
+        return "~" + _sub(phi.body, _PREC_NEG)
     if isinstance(phi, And):
         # left-associative: left child keeps &-chains unparenthesized
-        return _sub(phi.left, _PREC_AND, sym) + sym["and"] + _sub(phi.right, _PREC_AND + 1, sym)
+        return _sub(phi.left, _PREC_AND) + " & " + _sub(phi.right, _PREC_AND + 1)
     if isinstance(phi, Or):
-        return _sub(phi.left, _PREC_OR, sym) + sym["or"] + _sub(phi.right, _PREC_OR + 1, sym)
+        return _sub(phi.left, _PREC_OR) + " | " + _sub(phi.right, _PREC_OR + 1)
     if isinstance(phi, Imp):
         # right-associative: right child keeps ->-chains unparenthesized
-        return _sub(phi.left, _PREC_IMP + 1, sym) + sym["imp"] + _sub(phi.right, _PREC_IMP, sym)
+        return _sub(phi.left, _PREC_IMP + 1) + " -> " + _sub(phi.right, _PREC_IMP)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -187,8 +182,8 @@ def _prec(phi: Formula) -> int:
     return _PREC_IMP
 
 
-def _sub(phi: Formula, need: int, sym: dict) -> str:
-    s = show(phi) if sym is _ASCII else _show(phi, sym)
+def _sub(phi: Formula, need: int) -> str:
+    s = show(phi)
     return s if _prec(phi) >= need else "(" + s + ")"
 
 

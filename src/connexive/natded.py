@@ -9,6 +9,13 @@ is permitted uniformly for every discharging rule).  Rules discharging
 two assumption shapes (or_E, neg_and_E, EM, GEM) use a single label with
 a branch-specific expected formula.
 
+Every rule pairs with one sequent rule (SC_RULE), and each system with
+one calculus (PAIRED_CALCULUS), as in the paper's equivalence proofs.
+The checker reads a node's rule schema from sequent.SCHEMAS: an
+introduction, EM or GEM applies it to the conclusion, an elimination to
+its major premise.  The rule tables, arities and systems are read off
+SC_RULE, and so are the bridge's translations in both directions.
+
 Each walk visits a derivation's nodes once and keeps its own stack, so
 its cost is linear in the derivation's size and its depth is not bounded
 by the interpreter's recursion limit.  The
@@ -28,7 +35,8 @@ from enum import Enum
 from typing import Callable, Sequence, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
-from .formula import And, Formula, Imp, Neg, Or, Var, parse, show
+from .formula import Formula, Imp, Neg, Var, parse, show
+from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule
 
 
 class NdSystem(str, Enum):
@@ -62,70 +70,60 @@ class NdRule(str, Enum):
     GEM = "GEM"
 
 
+# An assumption pairs with an axiom, an introduction with a right rule,
+# an elimination with a left rule, EM with ex-middle and GEM with
+# g-ex-middle.  The eliminations of one left rule come in the order its
+# schema adds the formulas they conclude.
+SC_RULE = {
+    NdRule.ASSUMPTION: Rule.INIT1,
+    NdRule.IMP_I: Rule.IMP_RIGHT,
+    NdRule.IMP_E: Rule.IMP_LEFT,
+    NdRule.AND_I: Rule.AND_RIGHT,
+    NdRule.AND_E1: Rule.AND_LEFT,
+    NdRule.AND_E2: Rule.AND_LEFT,
+    NdRule.OR_I1: Rule.OR_RIGHT1,
+    NdRule.OR_I2: Rule.OR_RIGHT2,
+    NdRule.OR_E: Rule.OR_LEFT,
+    NdRule.NEGNEG_I: Rule.NEG_RIGHT,
+    NdRule.NEGNEG_E: Rule.NEG_LEFT,
+    NdRule.NEG_IMP_I: Rule.NEG_IMP_RIGHT,
+    NdRule.NEG_IMP_E: Rule.NEG_IMP_LEFT,
+    NdRule.NEG_AND_I1: Rule.NEG_AND_RIGHT1,
+    NdRule.NEG_AND_I2: Rule.NEG_AND_RIGHT2,
+    NdRule.NEG_AND_E: Rule.NEG_AND_LEFT,
+    NdRule.NEG_OR_I: Rule.NEG_OR_RIGHT,
+    NdRule.NEG_OR_E1: Rule.NEG_OR_LEFT,
+    NdRule.NEG_OR_E2: Rule.NEG_OR_LEFT,
+    NdRule.EM: Rule.EX_MIDDLE,
+    NdRule.GEM: Rule.G_EX_MIDDLE,
+}
+PAIRED_CALCULUS = {
+    NdSystem.NC: Calculus.SC,
+    NdSystem.NC3: Calculus.SC3,
+    NdSystem.NMC: Calculus.SMC_STAR,
+    NdSystem.NCN: Calculus.SCN_STAR,
+}
+
 # (EM) and (GEM) are treated as introduction rules; their premises are
 # neither major nor minor.
-INTRO_RULES = frozenset(
-    {
-        NdRule.IMP_I,
-        NdRule.AND_I,
-        NdRule.OR_I1,
-        NdRule.OR_I2,
-        NdRule.NEGNEG_I,
-        NdRule.NEG_IMP_I,
-        NdRule.NEG_AND_I1,
-        NdRule.NEG_AND_I2,
-        NdRule.NEG_OR_I,
-        NdRule.EM,
-        NdRule.GEM,
-    }
-)
-ELIM_RULES = frozenset(
-    {
-        NdRule.IMP_E,
-        NdRule.AND_E1,
-        NdRule.AND_E2,
-        NdRule.OR_E,
-        NdRule.NEGNEG_E,
-        NdRule.NEG_IMP_E,
-        NdRule.NEG_AND_E,
-        NdRule.NEG_OR_E1,
-        NdRule.NEG_OR_E2,
-    }
-)
+ELIM_RULES = frozenset(r for r, sc in SC_RULE.items() if sc in LEFT_RULES)
+INTRO_RULES = frozenset(SC_RULE) - ELIM_RULES - {NdRule.ASSUMPTION}
 DISCHARGING_RULES = frozenset(
     {NdRule.IMP_I, NdRule.NEG_IMP_I, NdRule.OR_E, NdRule.NEG_AND_E, NdRule.EM, NdRule.GEM}
 )
-
-_ARITY = {
-    NdRule.ASSUMPTION: 0,
-    NdRule.IMP_I: 1,
-    NdRule.IMP_E: 2,
-    NdRule.AND_I: 2,
-    NdRule.AND_E1: 1,
-    NdRule.AND_E2: 1,
-    NdRule.OR_I1: 1,
-    NdRule.OR_I2: 1,
-    NdRule.OR_E: 3,
-    NdRule.NEGNEG_I: 1,
-    NdRule.NEGNEG_E: 1,
-    NdRule.NEG_IMP_I: 1,
-    NdRule.NEG_IMP_E: 2,
-    NdRule.NEG_AND_I1: 1,
-    NdRule.NEG_AND_I2: 1,
-    NdRule.NEG_AND_E: 3,
-    NdRule.NEG_OR_I: 2,
-    NdRule.NEG_OR_E1: 1,
-    NdRule.NEG_OR_E2: 1,
-    NdRule.EM: 2,
-    NdRule.GEM: 2,
-}
-
-_NC_RULES = frozenset(_ARITY) - {NdRule.EM, NdRule.GEM}
+# (or_E) and (neg_and_E) take the major premise on top of their left
+# rule's premises; every other elimination takes it in place of the last.
+_ARITY = {r: ARITY[sc] + (r in ELIM_RULES and r in DISCHARGING_RULES) for r, sc in SC_RULE.items()}
 RULES_OF_SYSTEM = {
-    NdSystem.NC: _NC_RULES,
-    NdSystem.NC3: _NC_RULES | {NdRule.EM},
-    NdSystem.NMC: _NC_RULES | {NdRule.GEM},
-    NdSystem.NCN: _NC_RULES | {NdRule.EM, NdRule.GEM},
+    sys_id: frozenset(r for r, sc in SC_RULE.items() if sc in RULES_OF[calc])
+    for sys_id, calc in PAIRED_CALCULUS.items()
+}
+# For a left rule whose eliminations each conclude a formula it adds to
+# its last premise: those eliminations, in the order the schema adds them.
+_ELIMS = {
+    sc: tuple(e for e in SC_RULE if SC_RULE[e] is sc)
+    for r, sc in SC_RULE.items()
+    if r in ELIM_RULES and r not in DISCHARGING_RULES
 }
 
 
@@ -346,122 +344,100 @@ def _node_error(table, n: Derivation, leaves, count: dict[int, int]) -> str | No
     return _schema_error(n, leaves, count)
 
 
-def _discharge_ok(l: int | None, count: dict[int, int], branch_specs) -> str | None:
-    """branch_specs: list of (leaf formulas of a premise, the formula its
-    discharged leaves must have)."""
-    if l is None:
-        return None  # binds nothing; vacuous discharge
-    total = 0
-    for leaves, expected in branch_specs:
-        total += len(leaves)
-        for f in leaves:
-            if f != expected:
-                return f"discharged leaf {show(f)} does not match expected {show(expected)}"
-    if total != count.get(l, 0):
-        return f"label {l} binds leaves outside its permitted subtrees"
-    return None
+# Why a node does not fit its rule: its formulas do not fit the schema,
+# or (for EM and GEM) its leaves determine no principal; and its premises
+# are not the ones the schema gives.
+_REASONS = {
+    NdRule.IMP_I: ("conclusion is not an implication", "premise must be the consequent"),
+    NdRule.IMP_E: ("major premise is not an implication", "minor premise or conclusion mismatch"),
+    NdRule.AND_I: ("conclusion must conjoin the premises",) * 2,
+    NdRule.AND_E1: ("major premise is not a conjunction", "conclusion must be the selected conjunct"),
+    NdRule.AND_E2: ("major premise is not a conjunction", "conclusion must be the selected conjunct"),
+    NdRule.OR_I1: ("conclusion is not a disjunction", "premise must be the selected disjunct"),
+    NdRule.OR_I2: ("conclusion is not a disjunction", "premise must be the selected disjunct"),
+    NdRule.OR_E: ("major premise is not a disjunction", "minor premises must both conclude the conclusion"),
+    NdRule.NEGNEG_I: ("conclusion must doubly negate the premise",) * 2,
+    NdRule.NEGNEG_E: ("major premise must doubly negate the conclusion",) * 2,
+    NdRule.NEG_IMP_I: ("conclusion is not a negated implication", "premise must be the negated consequent"),
+    NdRule.NEG_IMP_E: ("major premise is not a negated implication", "minor premise or conclusion mismatch"),
+    NdRule.NEG_AND_I1: ("conclusion is not a negated conjunction", "premise must be the selected negated conjunct"),
+    NdRule.NEG_AND_I2: ("conclusion is not a negated conjunction", "premise must be the selected negated conjunct"),
+    NdRule.NEG_AND_E: (
+        "major premise is not a negated conjunction",
+        "minor premises must both conclude the conclusion",
+    ),
+    NdRule.NEG_OR_I: ("conclusion is not a negated disjunction", "premises must be the negated disjuncts"),
+    NdRule.NEG_OR_E1: (
+        "major premise is not a negated disjunction",
+        "conclusion must be the selected negated disjunct",
+    ),
+    NdRule.NEG_OR_E2: (
+        "major premise is not a negated disjunction",
+        "conclusion must be the selected negated disjunct",
+    ),
+    NdRule.EM: (
+        "discharged leaves do not determine a single excluded-middle formula",
+        "premises must both conclude the conclusion",
+    ),
+    NdRule.GEM: (
+        "discharged leaves do not determine a single implication witness",
+        "premises must both conclude the conclusion",
+    ),
+}
 
 
 def _schema_error(n: Derivation, leaves, count: dict[int, int]) -> str | None:
-    r, g, prems, l = n.rule, n.formula, n.premises, n.discharge
+    """Why n does not instantiate the schema of its sequent rule, or None.
+
+    An introduction, EM or GEM applies the schema to its conclusion, the
+    principal of EM and GEM being the one its discharged leaves determine:
+    the premises must conclude the specs' succedents.  An elimination
+    applies it to its major premise.  The minor premises of (or_E) and
+    (neg_and_E) must conclude the specs' succedents; those of the other
+    eliminations the first specs' succedents, and the conclusion must be
+    the formula the last spec adds that the rule selects.  A discharged
+    leaf must be the formula its premise's spec adds."""
+    r = n.rule
     if r is NdRule.ASSUMPTION:
         return None
-    if r is NdRule.IMP_I:
-        if not isinstance(g, Imp):
-            return "conclusion is not an implication"
-        if prems[0].formula != g.right:
-            return "premise must be the consequent"
-        return _discharge_ok(l, count, [(leaves[0], g.left)])
-    if r is NdRule.IMP_E:
-        major = prems[0].formula
-        if not isinstance(major, Imp):
-            return "major premise is not an implication"
-        if prems[1].formula != major.left or g != major.right:
-            return "minor premise or conclusion mismatch"
-        return None
-    if r is NdRule.AND_I:
-        if not isinstance(g, And) or prems[0].formula != g.left or prems[1].formula != g.right:
-            return "conclusion must conjoin the premises"
-        return None
-    if r in (NdRule.AND_E1, NdRule.AND_E2):
-        major = prems[0].formula
-        if not isinstance(major, And):
-            return "major premise is not a conjunction"
-        want = major.left if r is NdRule.AND_E1 else major.right
-        return None if g == want else "conclusion must be the selected conjunct"
-    if r in (NdRule.OR_I1, NdRule.OR_I2):
-        if not isinstance(g, Or):
-            return "conclusion is not a disjunction"
-        want = g.left if r is NdRule.OR_I1 else g.right
-        return None if prems[0].formula == want else "premise must be the selected disjunct"
-    if r is NdRule.OR_E:
-        major = prems[0].formula
-        if not isinstance(major, Or):
-            return "major premise is not a disjunction"
-        if prems[1].formula != g or prems[2].formula != g:
-            return "minor premises must both conclude the conclusion"
-        return _discharge_ok(l, count, [(leaves[1], major.left), (leaves[2], major.right)])
-    if r is NdRule.NEGNEG_I:
-        ok = g == Neg(Neg(prems[0].formula))
-        return None if ok else "conclusion must doubly negate the premise"
-    if r is NdRule.NEGNEG_E:
-        major = prems[0].formula
-        ok = isinstance(major, Neg) and isinstance(major.body, Neg) and major.body.body == g
-        return None if ok else "major premise must doubly negate the conclusion"
-    if r is NdRule.NEG_IMP_I:
-        if not (isinstance(g, Neg) and isinstance(g.body, Imp)):
-            return "conclusion is not a negated implication"
-        if prems[0].formula != Neg(g.body.right):
-            return "premise must be the negated consequent"
-        return _discharge_ok(l, count, [(leaves[0], g.body.left)])
-    if r is NdRule.NEG_IMP_E:
-        major = prems[0].formula
-        if not (isinstance(major, Neg) and isinstance(major.body, Imp)):
-            return "major premise is not a negated implication"
-        if prems[1].formula != major.body.left or g != Neg(major.body.right):
-            return "minor premise or conclusion mismatch"
-        return None
-    if r in (NdRule.NEG_AND_I1, NdRule.NEG_AND_I2):
-        if not (isinstance(g, Neg) and isinstance(g.body, And)):
-            return "conclusion is not a negated conjunction"
-        want = Neg(g.body.left if r is NdRule.NEG_AND_I1 else g.body.right)
-        return None if prems[0].formula == want else "premise must be the selected negated conjunct"
-    if r is NdRule.NEG_AND_E:
-        major = prems[0].formula
-        if not (isinstance(major, Neg) and isinstance(major.body, And)):
-            return "major premise is not a negated conjunction"
-        if prems[1].formula != g or prems[2].formula != g:
-            return "minor premises must both conclude the conclusion"
-        return _discharge_ok(
-            l, count, [(leaves[1], Neg(major.body.left)), (leaves[2], Neg(major.body.right))]
-        )
-    if r is NdRule.NEG_OR_I:
-        if not (isinstance(g, Neg) and isinstance(g.body, Or)):
-            return "conclusion is not a negated disjunction"
-        if prems[0].formula != Neg(g.body.left) or prems[1].formula != Neg(g.body.right):
-            return "premises must be the negated disjuncts"
-        return None
-    if r in (NdRule.NEG_OR_E1, NdRule.NEG_OR_E2):
-        major = prems[0].formula
-        if not (isinstance(major, Neg) and isinstance(major.body, Or)):
-            return "major premise is not a negated disjunction"
-        want = Neg(major.body.left if r is NdRule.NEG_OR_E1 else major.body.right)
-        return None if g == want else "conclusion must be the selected negated disjunct"
-    if r is NdRule.EM:
-        if prems[0].formula != g or prems[1].formula != g:
-            return "premises must both conclude the conclusion"
-        alpha = _em_alpha(leaves[0], leaves[1])
-        if alpha is None:
-            return "discharged leaves do not determine a single excluded-middle formula"
-        return _discharge_ok(l, count, [(leaves[0], Neg(alpha)), (leaves[1], alpha)])
-    if r is NdRule.GEM:
-        if prems[0].formula != g or prems[1].formula != g:
-            return "premises must both conclude the conclusion"
-        wit = _gem_witness(leaves[0], leaves[1])
-        if wit is None:
-            return "discharged leaves do not determine a single implication witness"
-        return _discharge_ok(l, count, [(leaves[0], wit), (leaves[1], wit.left)])
-    raise AssertionError(f"unhandled rule {r}")
+    g, prems, rule = n.formula, n.premises, SC_RULE[r]
+    misfit, mismatch = _REASONS[r]
+    inst = None
+    if r in ELIM_RULES:
+        specs = SCHEMAS[rule](g, prems[0].formula)
+        if specs is None:
+            return misfit
+        prems, leaves = prems[1:], leaves[1:]
+        if rule in _ELIMS:
+            if g != specs[-1][0][_ELIMS[rule].index(r)]:
+                return mismatch
+            specs = specs[:-1]
+    else:
+        recover = _RECOVER.get(r)
+        if recover is not None and n.discharge is not None:
+            inst = recover(*leaves)
+        # a right rule ignores the principal, and the succedents of EM and
+        # GEM do not depend on it; GEM's schema wants an implication
+        specs = SCHEMAS[rule](g, _GEM_FALLBACK if inst is None else inst)
+        if specs is None:
+            return misfit
+    for p, (_, s) in zip(prems, specs):
+        if p.formula != s:
+            return mismatch
+    l = n.discharge
+    if l is None:
+        return None  # binds nothing; vacuous discharge
+    if inst is None and r in _RECOVER:
+        return misfit
+    total = 0
+    for bound, (added, _) in zip(leaves, specs):
+        total += len(bound)
+        for f in bound:
+            if f != added[0]:
+                return f"discharged leaf {show(f)} does not match expected {show(added[0])}"
+    if total != count.get(l, 0):
+        return f"label {l} binds leaves outside its permitted subtrees"
+    return None
 
 
 def _em_alpha(negs: Sequence[Formula], poss: Sequence[Formula]) -> Formula | None:
@@ -500,6 +476,7 @@ def _gem_witness(imps: Sequence[Formula], alphas: Sequence[Formula]) -> Imp | No
 
 _FALLBACK = Var("p")
 _GEM_FALLBACK = Imp(Var("p"), Var("p"))
+_RECOVER = {NdRule.EM: _em_alpha, NdRule.GEM: _gem_witness}
 
 
 def require_valid(sys_id: NdSystem, d: Derivation) -> None:

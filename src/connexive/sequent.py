@@ -6,6 +6,8 @@ SCHEMAS is the one definition of the rules other than the two axioms:
 for each rule it builds the premises from the succedent and the
 principal formula.  The checker here and the proof search in prover
 both read it, so a rule cannot be searched one way and checked another.
+natded pairs each natural-deduction rule with a rule here (SC_RULE), so
+the derivation checker and both bridge translations read it too.
 
 Contexts are finite *sets*; the checker validates each node's context
 against the set equation its rule schema determines, so contraction and

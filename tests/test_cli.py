@@ -193,6 +193,27 @@ def test_prove_deep_formula_is_input_error(capsys, goal):
     assert out == "" and "formula is nested too deeply" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("prove", "sc", "{chain} => p"), ("matrix", "-"), ("transform", "translate", "{chain}")],
+    ids=["prove", "matrix", "translate"],
+)
+def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
+    """A long & chain parses, since the parser loops over &, but the
+    walks after it recurse; running out of stack is an input error."""
+    import io
+
+    chain = " & ".join(["p"] * 2000)
+    monkeypatch.setattr("sys.stdin", io.StringIO(chain + "\n"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        code, _, err = run(capsys, *(a.format(chain=chain) for a in argv))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 def test_shared_proof_file(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(proof_to_json(shared_or_chain(40)))

@@ -1,11 +1,15 @@
-"""Each module of the package uses every name it imports.  Checked on the
-syntax tree with the standard library, since no linter is a dependency;
-__init__.py is left out because it imports names to re-export them."""
+"""Each module of the package uses every name it imports, and every
+private name it defines at module level is referred to somewhere in the
+package.  Checked on the syntax tree with the standard library, since no
+linter is a dependency; the import check leaves __init__.py out because
+it imports names to re-export them."""
 
 import ast
 from pathlib import Path
 
 import connexive
+
+PACKAGE = Path(connexive.__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -20,15 +24,47 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unused_private_names(sources: list[str]) -> list[str]:
+    """The private (_-prefixed, not dunder) functions, classes and
+    assigned names defined at the top level of the sources that none of
+    them reads, imports or names as an attribute."""
+    defined, used = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
+
+
 def test_unused_imports_detected():
     assert unused_imports("import os\nimport a.b\nfrom x import y, z as w\nos.sep, w\n") == ["a", "y"]
 
 
 def test_no_unused_imports():
-    package = Path(connexive.__file__).parent
     found = {
         path.name: names
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_unused_private_names_detected():
+    module = "_a = 1\n_b, c = 2, 3\n__all__ = []\ndef _f():\n    return _a\nclass _C:\n    pass\n_d: int = 0\n"
+    assert unused_private_names([module]) == ["_C", "_b", "_d", "_f"]
+    assert unused_private_names([module, "from .m import _f\nimport m\nm._C\n"]) == ["_b", "_d"]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names([path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []

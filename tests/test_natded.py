@@ -7,6 +7,13 @@ import pytest
 
 from connexive.formula import And, Imp, Neg, Or, Var, show
 from connexive.natded import (
+    _ARITY,
+    DISCHARGING_RULES,
+    ELIM_RULES,
+    INTRO_RULES,
+    PAIRED_CALCULUS,
+    RULES_OF_SYSTEM,
+    SC_RULE,
     Derivation,
     MaxOccurrence,
     NdRule,
@@ -28,6 +35,7 @@ from connexive.natded import (
     subst_leaves,
 )
 from connexive.reduction import reduce_step
+from connexive.sequent import RULES_OF
 
 from helpers import bind_open, mutated_derivations, rand_derivation
 
@@ -233,6 +241,41 @@ def test_replace_at_and_labels():
     d = rand_derivation(rng, NdSystem.NC, max_nodes=10)
     assert replace_at(d, (), assumption(p)) == assumption(p)
     assert max_label(d) >= max(discharge_labels(d), default=0)
+
+
+def test_rule_tables():
+    """The rule tables read off SC_RULE, written out: a change to SC_RULE
+    that moves a rule in or out of a system, or changes its arity, shows
+    here."""
+    nc = {
+        "assumption", "imp_I", "imp_E", "and_I", "and_E1", "and_E2", "or_I1", "or_I2", "or_E",
+        "negneg_I", "negneg_E", "neg_imp_I", "neg_imp_E", "neg_and_I1", "neg_and_I2", "neg_and_E",
+        "neg_or_I", "neg_or_E1", "neg_or_E2",
+    }
+    assert {s.value: {r.value for r in rules} for s, rules in RULES_OF_SYSTEM.items()} == {
+        "nc": nc,
+        "nc3": nc | {"EM"},
+        "nmc": nc | {"GEM"},
+        "ncn": nc | {"EM", "GEM"},
+    }
+    assert {r.value: k for r, k in _ARITY.items()} == {
+        "assumption": 0, "imp_I": 1, "imp_E": 2, "and_I": 2, "and_E1": 1, "and_E2": 1, "or_I1": 1,
+        "or_I2": 1, "or_E": 3, "negneg_I": 1, "negneg_E": 1, "neg_imp_I": 1, "neg_imp_E": 2,
+        "neg_and_I1": 1, "neg_and_I2": 1, "neg_and_E": 3, "neg_or_I": 2, "neg_or_E1": 1,
+        "neg_or_E2": 1, "EM": 2, "GEM": 2,
+    }
+    assert {r.value for r in INTRO_RULES} == {
+        "imp_I", "and_I", "or_I1", "or_I2", "negneg_I", "neg_imp_I", "neg_and_I1", "neg_and_I2",
+        "neg_or_I", "EM", "GEM",
+    }
+    assert {r.value for r in ELIM_RULES} == {
+        "imp_E", "and_E1", "and_E2", "or_E", "negneg_E", "neg_imp_E", "neg_and_E", "neg_or_E1",
+        "neg_or_E2",
+    }
+    assert {r.value for r in DISCHARGING_RULES} == {"imp_I", "neg_imp_I", "or_E", "neg_and_E", "EM", "GEM"}
+    for sys_id, calc in PAIRED_CALCULUS.items():
+        for r in NdRule:
+            assert (r in RULES_OF_SYSTEM[sys_id]) == (SC_RULE[r] in RULES_OF[calc])
 
 
 def test_check_report_digest_unchanged():
