@@ -49,6 +49,7 @@ from .natded import (
 from .prover import ResourceExceeded, SearchConfig, SearchStats, _rederive
 from .sequent import (
     SCHEMAS,
+    STARRED,
     Calculus,
     Rule,
     Sequent,
@@ -123,9 +124,6 @@ def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula], discharged) -
 # ---------------------------------------------------------------------------
 # SC -> ND.
 
-_STARRED = {Calculus.SMC: Calculus.SMC_STAR, Calculus.SCN: Calculus.SCN_STAR}
-
-
 def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -> Derivation:
     """Normal derivation of a cut-free proof's conclusion in the paired ND
     system.  p is checked in calc first.  A proof in smc or scn, which may
@@ -139,13 +137,13 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
     re-derivation and also the size of the cut-free proof as a tree: a
     proof whose tree expansion has more nodes raises ResourceExceeded, so
     normalize, which ends here, is bounded by it too."""
-    if calc not in PAIRED_SYSTEM and calc not in _STARRED:
+    if calc not in PAIRED_SYSTEM and calc not in STARRED:
         raise ValueError(f"unsupported calculus {calc.value}")
     rep = check_proof(calc, p)
     if not rep.ok:
         raise InvalidProof(rep)
-    if calc in _STARRED:
-        calc = _STARRED[calc]
+    if calc in STARRED:
+        calc = STARRED[calc]
         p = _rederive(calc, p.conclusion, cfg)
     return _sc_to_nd(calc, p, cfg)
 

@@ -139,8 +139,12 @@ class Derivation:
         return fold(self, lambda _, subs: 1 + sum(subs))
 
     def at(self, path: tuple[int, ...]) -> "Derivation":
+        """The node reached by taking premise path[0], then path[1], ...;
+        ValueError if an index is negative or past the last premise."""
         node = self
         for i in path:
+            if not 0 <= i < len(node.premises):
+                raise ValueError(f"no node at path {'.'.join(map(str, path))}")
             node = node.premises[i]
         return node
 

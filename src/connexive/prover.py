@@ -9,8 +9,9 @@ closure-bounded sequent space is finite, so the search halts on every
 input and Unprovable is definitive.  Failures are cached when they are
 branch-independent: if a subtree's failure consulted no ancestor strictly
 above the node, the node is absolutely unprovable (a proof revisiting the
-node could be spliced), so caching it is sound.  Unprovable is never
-cached across decide calls.
+node could be spliced), so caching it is sound.  Nothing is cached
+across decide calls: a verdict depends only on the calculus, the
+sequent and the budget.
 
 Search is additionally pruned by a sound countervaluation filter: a
 four-valued table semantics (independent truth and falsity bits per
@@ -31,9 +32,8 @@ weakening, and identity, all admissible in every calculus here.
 from __future__ import annotations
 
 import sys
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -56,6 +56,7 @@ from .sequent import (
     CONNEXIVE_CALCULI,
     RULES_OF,
     SCHEMAS,
+    STARRED,
     Calculus,
     Rule,
     Sequent,
@@ -93,9 +94,11 @@ class ProveResult:
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = 5_000_000
-    memo: bool = True
+    # accepted and ignored: perfbench/workloads.py still passes memo=False,
+    # and the keyword goes once the benchmark stops passing it
+    memo: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, memo: bool):
         if self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
 
@@ -106,12 +109,9 @@ class ResourceExceeded(RuntimeError):
         self.stats = stats
 
 
-_MEMO: dict[tuple[Calculus, Sequent], SequentProof] = {}
-_MEMO_LOCK = threading.Lock()
-
 # starred calculi are decided through their unstarred equivalents, then
 # the (Peirce) nodes are rewritten into (g-ex-middle) nodes
-_UNSTAR = {Calculus.SMC_STAR: Calculus.SMC, Calculus.SCN_STAR: Calculus.SCN}
+_UNSTAR = {star: calc for calc, star in STARRED.items()}
 
 # candidate rules by the shape of the formula they decompose, the
 # succedent (right) or a context formula (left), as (invertible rules,
@@ -154,12 +154,6 @@ def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> Prove
             raise InvalidProof(rep)
         return ProveResult(Verdict.PROVABLE, proof, inner.stats)
 
-    if cfg.memo:
-        with _MEMO_LOCK:
-            hit = _MEMO.get((calc, s))
-        if hit is not None:
-            return ProveResult(Verdict.PROVABLE, hit, SearchStats(0, hit.depth(), 0.0))
-
     t0 = time.perf_counter()
     limit = sys.getrecursionlimit()
     if limit < 100_000:
@@ -179,18 +173,10 @@ def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> Prove
             raise InvalidProof(rep)
         if not proof.is_cut_free():
             raise RuntimeError("proof search emitted a proof with cut")
-        if cfg.memo:
-            with _MEMO_LOCK:
-                _MEMO.setdefault((calc, s), proof)
         return ProveResult(
             Verdict.PROVABLE, proof, SearchStats(search.nodes, proof.depth(), wall)
         )
     return ProveResult(Verdict.UNPROVABLE, None, SearchStats(search.nodes, search.max_depth, wall))
-
-
-def clear_memo() -> None:
-    with _MEMO_LOCK:
-        _MEMO.clear()
 
 
 def _destar(proof: SequentProof) -> SequentProof:

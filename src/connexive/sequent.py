@@ -130,6 +130,10 @@ RULES_OF = {
     Calculus.LJP_PEIRCE_PEM: _LJP_RULES | {Rule.PEIRCE, Rule.P_EX_MIDDLE},
 }
 
+# the starred calculus equivalent to smc and to scn, in which
+# (g-ex-middle) takes the place of (Peirce)
+STARRED = {Calculus.SMC: Calculus.SMC_STAR, Calculus.SCN: Calculus.SCN_STAR}
+
 CONNEXIVE_CALCULI = frozenset(
     {Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN, Calculus.SMC_STAR, Calculus.SCN_STAR}
 )

@@ -14,7 +14,7 @@ from connexive.natded import (
     is_normal,
     open_assumptions,
 )
-from connexive.prover import Verdict, clear_memo, decide
+from connexive.prover import Verdict, decide
 from connexive.reduction import normalize_by_reduction
 from connexive.sequent import CONNEXIVE_CALCULI, Calculus, Sequent, check_proof, seq
 
@@ -31,7 +31,6 @@ p, q = Var("p"), Var("q")
 
 
 def test_1_connexive_theses():
-    clear_memo()
     theses = [
         Imp(Imp(p, q), Neg(Imp(p, Neg(q)))),
         Imp(Imp(p, Neg(q)), Neg(Imp(p, q))),
@@ -48,7 +47,6 @@ def test_1_connexive_theses():
 
 
 def test_2_separation_matrix():
-    clear_memo()
     lem = Or(Neg(p), p)
     peirce = Imp(Imp(Imp(p, q), p), p)
     expected = {

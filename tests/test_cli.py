@@ -5,7 +5,6 @@ import pytest
 
 from connexive.cli import main
 from connexive.natded import NdSystem, check_derivation, derivation_from_json
-from connexive.prover import clear_memo
 from connexive.sequent import Calculus, check_proof, proof_from_json, proof_to_json
 from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
@@ -53,21 +52,17 @@ def test_prove_parse_error(capsys):
 
 
 def test_prove_budget_exhausted(capsys):
-    clear_memo()
     code, _, _ = run(capsys, "prove", "smc", "((q -> p) -> q) -> q", "--budget", "1")
     assert code == 3
-    clear_memo()
 
 
 def test_budget_env_var(capsys, monkeypatch):
-    clear_memo()
     monkeypatch.setenv("CXK_BUDGET", "1")
     code, _, _ = run(capsys, "prove", "smc", "((p -> q) -> p) -> p")
     assert code == 3
     monkeypatch.setenv("CXK_BUDGET", "junk")
     code, _, _ = run(capsys, "prove", "sc", "p -> p")
     assert code == 2
-    clear_memo()
 
 
 def test_check_sc(capsys, tmp_path):
@@ -214,6 +209,24 @@ def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
     assert "nested too deeply" in err
 
 
+def test_matrix_goes_on_after_a_line_nested_too_deeply(capsys, monkeypatch):
+    """A line whose walks overflow gets an ERR row, as a line that fails
+    to parse does, and the lines after it are still decided."""
+    import io
+
+    chain = " & ".join(["p"] * 2000)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{chain}\nq -> q\n"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        code, out, err = run(capsys, "matrix", "-")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 2
+    assert out.splitlines()[1:] == [f"{chain},ERR,ERR,ERR,ERR", "q -> q,Y,Y,Y,Y"]
+    assert "error: line 1 is nested too deeply" in err
+
+
 def test_shared_proof_file(capsys, tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(proof_to_json(shared_or_chain(40)))
@@ -264,19 +277,16 @@ def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
 def test_transform_sc2nd_starred_budget_exhausted(capsys, tmp_path):
     """A budget too small for the starred re-derivation is a resource
     limit (exit 3), as it is for prove."""
-    clear_memo()
     code, out, _ = run(capsys, "prove", "smc", "((q -> p) -> q) -> q")
     assert code == 0
     path = tmp_path / "peirce.json"
     path.write_text(out)
-    clear_memo()
     code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", "smc", "--budget", "1")
     assert code == 3
     assert out == "" and "error" in err
     code, out, _ = run(capsys, "transform", "sc2nd", str(path), "--calculus", "smc")
     assert code == 0
     assert check_derivation(NdSystem.NMC, derivation_from_json(out)).ok
-    clear_memo()
 
 
 def test_transform_normalize_and_reduce(capsys, tmp_path):
@@ -293,6 +303,19 @@ def test_transform_normalize_and_reduce(capsys, tmp_path):
     code, out, _ = run(capsys, "transform", "reduce", str(path), "--system", "nc")
     assert code == 0
     assert derivation_from_json(out) == assumption(p)
+
+
+def test_transform_reduce_at_path_outside_derivation(capsys, tmp_path):
+    detour = Derivation(
+        NdRule.IMP_E,
+        p,
+        (Derivation(NdRule.IMP_I, Imp(p, p), (assumption(p, 1),), 1), assumption(p)),
+    )
+    path = tmp_path / "d.json"
+    path.write_text(derivation_to_json(detour))
+    code, out, err = run(capsys, "transform", "reduce", str(path), "--at", "3")
+    assert code == 2
+    assert out == "" and "error: no node at path 3" in err
 
 
 def test_transform_normalize_budget_caps_tree(capsys, tmp_path):

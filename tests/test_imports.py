@@ -1,8 +1,9 @@
-"""Each module of the package uses every name it imports, and every
-private name it defines at module level is referred to somewhere in the
-package.  Checked on the syntax tree with the standard library, since no
-linter is a dependency; the import check leaves __init__.py out because
-it imports names to re-export them."""
+"""Each module of the package uses every name it imports, every private
+name it defines at module level is referred to somewhere in the package,
+and no module holds mutable state at its top level.  Checked on the
+syntax tree with the standard library, since no linter is a dependency;
+the import check leaves __init__.py out because it imports names to
+re-export them."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,31 @@ def unused_private_names(sources: list[str]) -> list[str]:
     return sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
 
 
+def module_level_state(source: str) -> list[str]:
+    """The names assigned at the top level of source to an empty dict,
+    list or set, a dict/list/set/defaultdict call or a call into
+    threading: state every caller in the process would share."""
+
+    def mutable(value) -> bool:
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, (ast.List, ast.Set)):
+            return not value.elts
+        if not isinstance(value, ast.Call):
+            return False
+        func = value.func
+        if isinstance(func, ast.Attribute):
+            return func.attr == "defaultdict" or (isinstance(func.value, ast.Name) and func.value.id == "threading")
+        return isinstance(func, ast.Name) and func.id in ("dict", "list", "set", "defaultdict")
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and mutable(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(found)
+
+
 def test_unused_imports_detected():
     assert unused_imports("import os\nimport a.b\nfrom x import y, z as w\nos.sep, w\n") == ["a", "y"]
 
@@ -68,3 +94,21 @@ def test_unused_private_names_detected():
 
 def test_no_unused_private_names():
     assert unused_private_names([path.read_text() for path in sorted(PACKAGE.glob("*.py"))]) == []
+
+
+def test_module_level_state_detected():
+    module = (
+        "import collections, threading\n_a = {}\n_b: list[int] = []\n_c = set()\n"
+        "_d = collections.defaultdict(list)\n_e = threading.Lock()\nf = dict(x=1)\n"
+        "TABLE = {1: 2}\nNAMES = [1]\n_g = frozenset()\n_h: int\ndef _i():\n    _j = {}\n"
+    )
+    assert module_level_state(module) == ["_a", "_b", "_c", "_d", "_e", "f"]
+
+
+def test_no_module_level_state():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := module_level_state(path.read_text()))
+    }
+    assert found == {}

@@ -144,6 +144,15 @@ def test_maximum_formulas():
     assert not is_normal(d)
 
 
+def test_at_rejects_a_path_that_leaves_the_derivation():
+    inner = Derivation(NdRule.AND_I, And(p, q), (assumption(p), assumption(q)))
+    d = Derivation(NdRule.AND_E1, p, (inner,))
+    assert d.at(()) is d and d.at((0, 1)) == assumption(q)
+    for path in ((1,), (0, 2), (0, 0, 0), (-1,), (0, -1)):
+        with pytest.raises(ValueError, match=f"no node at path {'.'.join(map(str, path))}$"):
+            d.at(path)
+
+
 def test_elim_major_is_first_premise():
     # an assumption major premise is not a maximum
     d = Derivation(NdRule.AND_E1, p, (assumption(And(p, q)),))

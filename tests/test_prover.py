@@ -14,7 +14,6 @@ from connexive.prover import (
     SearchConfig,
     Tables,
     Verdict,
-    clear_memo,
     decide,
     eliminate_cut,
     separation_matrix,
@@ -264,15 +263,15 @@ def test_search_shapes_fit_schemas():
         assert all(fits(rule, by_shape[s]) is not None for rule, s in indexed)
 
 
-def test_memo():
-    clear_memo()
-    s = parse_sequent("(p -> q) -> ~(p -> ~q)")
-    first = decide(Calculus.SC, s)
-    assert first.stats.nodes_expanded > 0
-    second = decide(Calculus.SC, s)
-    assert second.stats.nodes_expanded == 0
-    assert second.proof == first.proof
-    clear_memo()
+def test_decide_keeps_nothing_between_calls():
+    """A verdict and its stats depend only on the calculus, the sequent
+    and the budget, not on what was decided before."""
+    s = seq([], Imp(Imp(Imp(q, p), q), q))
+    assert decide(Calculus.SMC, s).verdict is Verdict.PROVABLE
+    assert decide(Calculus.SMC, s, SearchConfig(node_budget=1)).verdict is Verdict.RESOURCE_EXCEEDED
+    first, second = decide(Calculus.SMC, s), decide(Calculus.SMC, s)
+    assert first.stats.nodes_expanded == second.stats.nodes_expanded > 0
+    assert first.proof == second.proof
 
 
 def test_budget():
