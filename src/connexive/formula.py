@@ -109,21 +109,22 @@ class Neg(Formula):
 
 def size(phi: Formula) -> int:
     """Number of connective and atom nodes."""
-    if isinstance(phi, Var):
-        return 1
-    if isinstance(phi, Neg):
-        return 1 + size(phi.body)
-    return 1 + size(phi.left) + size(phi.right)
+    return sum(1 for _ in subformulas(phi))
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All subformulas including phi itself."""
-    yield phi
-    if isinstance(phi, Neg):
-        yield from subformulas(phi.body)
-    elif not isinstance(phi, Var):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
+    """All subformulas including phi itself, one per occurrence, in
+    pre-order (a node, then its left, then its right part).  The walk
+    keeps its own stack, so no depth of formula can overflow it."""
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        yield f
+        if isinstance(f, Neg):
+            todo.append(f.body)
+        elif not isinstance(f, Var):
+            todo.append(f.right)
+            todo.append(f.left)
 
 
 def atoms(phi: Formula) -> set[Var]:

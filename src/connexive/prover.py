@@ -21,6 +21,16 @@ present, so any sequent refuted by some valuation is unprovable and its
 subtree is skipped.  The filter only removes unprovable nodes, so
 completeness is untouched; its rule-wise soundness is property-tested.
 
+What no rule changes is computed once per goal (_Analysis): the
+language check, the universe, its sorted order, and the tables' masks.
+Calculi of one language share it: separation_matrix analyses each row
+once for its four calculi, and a starred calculus hands its analysis to
+the unstarred search.  It holds only what the goal determines, so
+sharing it moves no verdict, proof or node count.  An always-on guard
+keeps every node's formulas in the universe: the goal's formulas are
+checked once, and then each rule instance's added formulas and
+succedent, since a premise inherits the rest from its node.
+
 Rule premises come from sequent.SCHEMAS, the table the checker reads;
 the search only chooses which rules to try, by the shape of the formula
 each decomposes.  Invertible rules are applied eagerly (one committed
@@ -31,6 +41,7 @@ weakening, and identity, all admissible in every calculus here.
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 from dataclasses import InitVar, dataclass, field
@@ -137,15 +148,16 @@ _LEFT = {
 _NO_RULES = ((), ())
 
 
-def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> ProveResult:
+def decide(
+    calc: Calculus, s: Sequent, cfg: SearchConfig | None = None, _analysis: _Analysis | None = None
+) -> ProveResult:
+    """The verdict on s in calc, with a checked cut-free proof when it is
+    provable.  _analysis is private to this module: separation_matrix and
+    a starred decide pass the analysis of s that they already hold."""
     cfg = cfg or SearchConfig()
-    if calc in CONNEXIVE_CALCULI:
-        if any(has_primed(f) for f in s.ctx | {s.suc}):
-            raise ValueError("primed atoms belong to the positive language only")
-    elif any(has_negation(f) for f in s.ctx | {s.suc}):
-        raise ValueError(f"connexive negation is outside the language of {calc.value}")
+    analysis = _analysis or _Analysis(calc, s)
     if calc in _UNSTAR:
-        inner = decide(_UNSTAR[calc], s, cfg)
+        inner = decide(_UNSTAR[calc], s, cfg, analysis)
         if inner.verdict is not Verdict.PROVABLE:
             return inner
         proof = _destar(inner.proof)
@@ -158,7 +170,7 @@ def decide(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> Prove
     limit = sys.getrecursionlimit()
     if limit < 100_000:
         sys.setrecursionlimit(100_000)
-    search = _Search(calc, s, cfg)
+    search = _Search(calc, cfg, analysis)
     try:
         proof, _ = search.dfs(s, 0)
     except _BudgetExhausted:
@@ -203,23 +215,35 @@ class Tables:
     bit (v >> 2i) & 1 and the falsity bit (v >> 2i+1) & 1; each formula
     gets a pair of masks with one bit per valuation."""
 
-    def __init__(self, atoms_: list[Var], require_t_or_f: bool, pem_pairs: bool = False):
+    def __init__(self, atoms_: list[Var], require_t_or_f: bool = False, pem_pairs: bool = False):
         self.index = {a: i for i, a in enumerate(sorted(atoms_, key=key))}
         n = len(self.index)
         self.nvals = 1 << (2 * n)
         self.full = (1 << self.nvals) - 1
         self._bit = [self._bit_mask(b) for b in range(2 * n)]
         self._memo: dict[Formula, tuple[int, int]] = {}
-        self.allowed = self.full
+        self.allowed = self._allowed(require_t_or_f, pem_pairs)
+
+    def restricted(self, require_t_or_f: bool, pem_pairs: bool) -> Tables:
+        """These tables, masks and memo shared, with refutes limited to
+        the valuations that the given restrictions allow: one calculus's
+        view of tables that several calculi share."""
+        view = copy.copy(self)
+        view.allowed = self._allowed(require_t_or_f, pem_pairs)
+        return view
+
+    def _allowed(self, require_t_or_f: bool, pem_pairs: bool) -> int:
+        allowed = self.full
         if require_t_or_f:
-            for i in range(n):
-                self.allowed &= self._bit[2 * i] | self._bit[2 * i + 1]
+            for i in range(len(self.index)):
+                allowed &= self._bit[2 * i] | self._bit[2 * i + 1]
         if pem_pairs:
             for a, i in self.index.items():
                 if not a.primed:
                     j = self.index.get(Var(a.name, True))
                     if j is not None:
-                        self.allowed &= self._bit[2 * i] | self._bit[2 * j]
+                        allowed &= self._bit[2 * i] | self._bit[2 * j]
+        return allowed
 
     def _bit_mask(self, b: int) -> int:
         half = 1 << b
@@ -268,15 +292,50 @@ class Tables:
 _NO_DEP = 1 << 60  # failure consulted no branch ancestor
 
 
+class _Analysis:
+    """What a search needs that depends only on the goal and its
+    language: the language check, the universe, its sorted order, and
+    the Tables masks and memo.  It also checks the goal's own formulas
+    against the universe, the root of _Search._emit's guard.  Calculi
+    with one universe share it, each with its own Tables.allowed."""
+
+    def __init__(self, calc: Calculus, goal: Sequent):
+        formulas = (*goal.ctx, goal.suc)
+        if calc in CONNEXIVE_CALCULI:
+            if any(has_primed(f) for f in formulas):
+                raise ValueError("primed atoms belong to the positive language only")
+        elif any(has_negation(f) for f in formulas):
+            raise ValueError(f"connexive negation is outside the language of {calc.value}")
+        self.universe = _Search._build_universe(calc, goal)
+        for f in formulas:
+            if not self.covered(f):
+                raise RuntimeError(f"proof search left its universe: {show(f)}")
+        self.tables = Tables([a for a in self.universe if isinstance(a, Var)])
+
+    @cached_property
+    def ordered(self) -> tuple[list[Formula], list[Var]]:
+        """The universe sorted by key, and its unprimed atoms in that
+        order: sorted once per goal, when a search first needs them."""
+        uni = sorted(self.universe, key=key)
+        return uni, [p for p in uni if isinstance(p, Var) and not p.primed]
+
+    def covered(self, f: Formula) -> bool:
+        """Universe membership modulo leading double negations: the
+        universe truncates ~~~ chains because (neg left)/(neg right)
+        peel them off immediately."""
+        while isinstance(f, Neg) and isinstance(f.body, Neg) and f not in self.universe:
+            f = f.body.body
+        if f in self.universe:
+            return True
+        return isinstance(f, Imp) and f.left in self.universe and f.right in self.universe
+
+
 class _Search:
-    def __init__(self, calc: Calculus, goal: Sequent, cfg: SearchConfig):
-        self.calc = calc
+    def __init__(self, calc: Calculus, cfg: SearchConfig, analysis: _Analysis):
         self.rules = RULES_OF[calc]
-        self.goal = goal
         self.cfg = cfg
-        self.universe = self._build_universe(goal)
-        self.tables = Tables(
-            [a for a in self.universe if isinstance(a, Var)],
+        self.analysis = analysis
+        self.tables = analysis.tables.restricted(
             require_t_or_f=Rule.EX_MIDDLE in self.rules,
             pem_pairs=Rule.P_EX_MIDDLE in self.rules,
         )
@@ -286,9 +345,10 @@ class _Search:
         self.nodes = 0
         self.max_depth = 0
 
-    def _build_universe(self, goal: Sequent) -> frozenset[Formula]:
-        uni = closure(goal, add_negations=self.calc in CONNEXIVE_CALCULI)
-        if Rule.P_EX_MIDDLE in self.rules:
+    @staticmethod
+    def _build_universe(calc: Calculus, goal: Sequent) -> frozenset[Formula]:
+        uni = closure(goal, add_negations=calc in CONNEXIVE_CALCULI)
+        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
             extra = {Var(a.name, True) for a in uni if isinstance(a, Var) and not a.primed}
             uni = closure_set(uni | extra, add_negations=False)
         return uni
@@ -371,19 +431,12 @@ class _Search:
         yield from self._apply(s, [(right_choice, None)] + [(choice, phi) for (_, choice), phi in left])
         if Rule.EX_MIDDLE in self.rules:
             # atomic instantiation only (at-ex-middle form)
-            yield from self._apply(s, (((Rule.EX_MIDDLE,), p) for p in self._ordered[1]))
+            yield from self._apply(s, (((Rule.EX_MIDDLE,), p) for p in self.analysis.ordered[1]))
         if Rule.PEIRCE in self.rules:
             # alpha is fixed by the goal succedent; beta ranges over the universe
-            yield from self._apply(s, (((Rule.PEIRCE,), Imp(s.suc, beta)) for beta in self._ordered[0]))
+            yield from self._apply(s, (((Rule.PEIRCE,), Imp(s.suc, beta)) for beta in self.analysis.ordered[0]))
         if Rule.P_EX_MIDDLE in self.rules:
-            yield from self._apply(s, (((Rule.P_EX_MIDDLE,), p) for p in self._ordered[1]))
-
-    @cached_property
-    def _ordered(self) -> tuple[list[Formula], list[Var]]:
-        """The universe sorted by key, and its unprimed atoms in that
-        order: sorted once per search, when a node first needs them."""
-        uni = sorted(self.universe, key=key)
-        return uni, [p for p in uni if isinstance(p, Var) and not p.primed]
+            yield from self._apply(s, (((Rule.P_EX_MIDDLE,), p) for p in self.analysis.ordered[1]))
 
     def _apply(self, s: Sequent, candidates):
         """Instances of the calculus's rules among candidates, pairs of
@@ -396,24 +449,24 @@ class _Search:
                         yield inst
 
     def _emit(self, s, rule, principal, prem_specs):
-        prems = tuple(Sequent(s.ctx | frozenset(a), g) for a, g in prem_specs)
-        if any(p == s for p in prems):
-            return None
-        for p in prems:
-            for f in (*p.ctx, p.suc):
-                if not self._covered(f):
-                    raise RuntimeError(f"proof search left its universe: {show(f)}")
-        return (rule, principal, prems)
+        """The instance (rule, principal, premises) that prem_specs give at
+        s, or None when a premise equals s.
 
-    def _covered(self, f: Formula) -> bool:
-        """Universe membership modulo leading double negations: the
-        universe truncates ~~~ chains because (neg left)/(neg right)
-        peel them off immediately."""
-        while isinstance(f, Neg) and isinstance(f.body, Neg) and f not in self.universe:
-            f = f.body.body
-        if f in self.universe:
-            return True
-        return isinstance(f, Imp) and f.left in self.universe and f.right in self.universe
+        The guard, always on, keeps this invariant: every formula of every
+        node is covered by the universe.  The root's formulas were checked
+        when the analysis was built, and a premise is s's context plus the
+        formulas its spec adds, with the spec's succedent; so checking just
+        those keeps it, and the first formula outside the universe raises
+        at the instance that adds it."""
+        ctx, suc = s.ctx, s.suc
+        if any(g == suc and ctx.issuperset(a) for a, g in prem_specs):
+            return None
+        covered = self.analysis.covered
+        for a, g in prem_specs:
+            for f in (*a, g):
+                if not covered(f):
+                    raise RuntimeError(f"proof search left its universe: {show(f)}")
+        return rule, principal, tuple(Sequent(ctx | frozenset(a) if a else ctx, g) for a, g in prem_specs)
 
 
 def eliminate_cut(calc: Calculus, proof: SequentProof, cfg: SearchConfig | None = None) -> SequentProof:
@@ -451,9 +504,13 @@ class MatrixRow:
 
 
 def separation_matrix(formulas, cfg: SearchConfig | None = None) -> list[MatrixRow]:
-    """decide verdict for each formula across sC, sC3, sMC, sCN."""
+    """decide verdict for each formula across sC, sC3, sMC, sCN.  The
+    four calculi share one language and universe, so each row is analysed
+    once (_Analysis) and searched four times."""
     rows = []
     for phi in formulas:
         s = Sequent(frozenset(), phi)
-        rows.append(MatrixRow(phi, tuple(decide(c, s, cfg).verdict for c in _MATRIX_CALCULI)))
+        analysis = _Analysis(_MATRIX_CALCULI[0], s)
+        verdicts = tuple(decide(c, s, cfg, analysis).verdict for c in _MATRIX_CALCULI)
+        rows.append(MatrixRow(phi, verdicts))
     return rows

@@ -188,9 +188,23 @@ def test_prove_deep_formula_is_input_error(capsys, goal):
     assert out == "" and "formula is nested too deeply" in err
 
 
+def test_deep_conjunction_chain_is_proved(capsys):
+    """decide's language check walks the goal with its own stack, so a
+    long & chain reaches the search, which raises the limit it needs."""
+    chain = " & ".join(["p"] * 2000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        code, out, _ = run(capsys, "prove", "sc", f"{chain} => p")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    proof = json.loads(out)
+    assert proof["rule"] == "and_left" and proof["premises"][0]["rule"] == "init1"
+
+
 @pytest.mark.parametrize(
-    "argv", [("prove", "sc", "{chain} => p"), ("matrix", "-"), ("transform", "translate", "{chain}")],
-    ids=["prove", "matrix", "translate"],
+    "argv", [("matrix", "-"), ("transform", "translate", "{chain}")], ids=["matrix", "translate"]
 )
 def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
     """A long & chain parses, since the parser loops over &, but the

@@ -122,6 +122,22 @@ def test_deep_formula_hashes_in_constant_depth():
     assert hashed, "hashing a 5,000-deep formula recursed"
 
 
+def test_deep_formula_walks_in_constant_depth():
+    phi = Var("p", True)
+    for i in range(5000):
+        phi = Neg(phi) if i % 2 else And(q, phi)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        got = (size(phi), atoms(phi), has_negation(phi), has_primed(phi), sum(1 for _ in subformulas(phi)))
+    except RecursionError:
+        got = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (7501, {q, Var("p", True)}, True, True, 7501)
+    assert list(subformulas(Imp(And(p, q), Neg(r)))) == [Imp(And(p, q), Neg(r)), And(p, q), p, q, Neg(r), r]
+
+
 def test_stored_hash_is_the_field_tuple_hash():
     # the hash a frozen dataclass would compute, so set iteration order,
     # search order and proof output do not depend on the stored hash

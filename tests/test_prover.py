@@ -76,6 +76,36 @@ def test_separation_matrix_cells():
     assert rows[0].cells()[Calculus.SC3] is Verdict.PROVABLE
 
 
+def test_separation_matrix_analyses_each_row_once(monkeypatch):
+    """One closure per row, shared by the four calculi; each calculus still
+    gets the verdict and searches the nodes an independent decide does."""
+    import connexive.prover as prover
+
+    rng = random.Random(31)
+    formulas = [rand_formula(rng, 10) for _ in range(300)]
+    calculi = [Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN]
+    alone = [(c, decide(c, seq([], phi))) for phi in formulas for c in calculi]
+    closure, decide_ = prover.closure, prover.decide
+    closures, shared = [], []
+
+    def count_closure(*args, **kwargs):
+        closures.append(args)
+        return closure(*args, **kwargs)
+
+    def record_decide(*args):
+        shared.append((args[0], decide_(*args)))
+        return shared[-1][1]
+
+    monkeypatch.setattr(prover, "closure", count_closure)
+    monkeypatch.setattr(prover, "decide", record_decide)
+    rows = separation_matrix(formulas)
+    assert len(closures) == len(formulas)
+    assert [v for row in rows for v in row.verdicts] == [res.verdict for _, res in alone]
+    assert [(c, res.stats.nodes_expanded) for c, res in shared] == [
+        (c, res.stats.nodes_expanded) for c, res in alone
+    ]
+
+
 def test_positive_fragment():
     assert provable(Calculus.LJP, "p -> q -> p")
     assert provable(Calculus.LJP, "p & q -> q & p")
@@ -231,6 +261,35 @@ def test_universe_escape_raises_under_optimize():
     assert "left its universe: p & q" in out.stdout
 
 
+# the search checks only what each premise adds, so a formula that a rule
+# adds outside the universe must raise as one of the goal's own does
+_ADDED_ESCAPE = """
+import connexive.prover as prover
+from connexive.formula import parse
+from connexive.sequent import Calculus, parse_sequent
+
+assert False, "assertions are on"
+build = prover._Search._build_universe
+prover._Search._build_universe = lambda calc, goal: build(calc, goal) - {parse("p & q")}
+try:
+    prover.decide(Calculus.SC, parse_sequent("(p & q) & r => r"))
+except RuntimeError as e:
+    print(e)
+else:
+    raise SystemExit("a universe escape went unnoticed")
+"""
+
+
+def test_added_formula_escape_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(connexive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _ADDED_ESCAPE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "left its universe: p & q" in out.stdout
+
+
 def test_proof_json_digest_unchanged():
     """decide's verdicts and proof JSON on a fixed corpus hash to the digest
     recorded by running this same loop on commit 80e5207, a checkout made
@@ -305,6 +364,28 @@ def test_language_preconditions():
         decide(Calculus.LJP, seq([], Neg(p)))
     with pytest.raises(ValueError):
         decide(Calculus.LJP_PEIRCE_PEM, seq([Neg(p)], q))
+
+
+def test_language_check_on_deep_formula():
+    """The language check walks the goal with its own stack."""
+    deep = Var("p", True)
+    for i in range(5000):
+        deep = Neg(deep) if i % 2 else And(q, deep)
+    messages = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    try:
+        for calc in (Calculus.SC, Calculus.LJP):
+            try:
+                decide(calc, seq([], deep))
+            except ValueError as e:
+                messages.append(str(e))
+    except RecursionError:
+        messages = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert messages is not None, "the language check recursed"
+    assert "primed atoms" in messages[0] and "connexive negation" in messages[1]
 
 
 def test_tables_examples():
