@@ -167,10 +167,10 @@ def decide(
         return ProveResult(Verdict.PROVABLE, proof, inner.stats)
 
     t0 = time.perf_counter()
+    search = _Search(calc, cfg, analysis)
     limit = sys.getrecursionlimit()
     if limit < 100_000:
-        sys.setrecursionlimit(100_000)
-    search = _Search(calc, cfg, analysis)
+        sys.setrecursionlimit(100_000)  # dfs recurses once per branch level
     try:
         proof, _ = search.dfs(s, 0)
     except _BudgetExhausted:
@@ -178,6 +178,8 @@ def decide(
         return ProveResult(
             Verdict.RESOURCE_EXCEEDED, None, SearchStats(search.nodes, search.max_depth, wall)
         )
+    finally:
+        sys.setrecursionlimit(limit)  # the caller's limit, whatever the search did
     wall = time.perf_counter() - t0
     if proof is not None:
         rep = check_proof(calc, proof)

@@ -388,10 +388,12 @@ def _require_valid(calc: Calculus, proof: SequentProof) -> None:
 def weaken_proof(calc: Calculus, proof: SequentProof, extra: Iterable[Formula]) -> SequentProof:
     """Checker-valid cut-free proof of (extra | ctx => suc); same rule
     skeleton, every node's context enlarged."""
+    extra = frozenset(extra)
+    _require_language(calc, extra)
     _require_valid(calc, proof)
     if not proof.is_cut_free():
         raise InvalidProof(CheckReport(False, (), proof.rule.value, "input contains cut"))
-    return _weaken(proof, frozenset(extra))
+    return _weaken(proof, extra)
 
 
 def _weaken(proof: SequentProof, extra: frozenset[Formula]) -> SequentProof:
@@ -413,13 +415,13 @@ def _weaken(proof: SequentProof, extra: frozenset[Formula]) -> SequentProof:
 
 def identity_proof(calc: Calculus, alpha: Formula, gamma: Iterable[Formula] = ()) -> SequentProof:
     gamma = frozenset(gamma)
-    if calc not in CONNEXIVE_CALCULI and _mentions_neg(alpha, gamma):
-        raise ValueError(f"negation not in the language of {calc.value}")
+    _require_language(calc, gamma | {alpha})
     return _identity(alpha, gamma)
 
 
-def _mentions_neg(alpha: Formula, gamma: frozenset[Formula]) -> bool:
-    return has_negation(alpha) or any(has_negation(f) for f in gamma)
+def _require_language(calc: Calculus, formulas: frozenset[Formula]) -> None:
+    if calc not in CONNEXIVE_CALCULI and any(has_negation(f) for f in formulas):
+        raise ValueError(f"negation not in the language of {calc.value}")
 
 
 def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
@@ -475,55 +477,79 @@ def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
 
 
 # ---------------------------------------------------------------------------
-# JSON proof format.  A node is {"rule", "sequent": {"ctx", "suc"},
-# "principal", "premises"}.  A subproof that was already written in full
-# is written again as {"ref": k}, where k counts the full nodes in the
-# order they end (post-order), so a shared proof stays shared on disk.  A
-# file without refs is a plain nested tree.
+# JSON proof format.  A file is one object: "formulas" lists each distinct
+# formula text once, and "nodes" lists each distinct proof node once,
+# after every premise it names, so the root is the last entry.  A node is
+# {"rule", "ctx": [formula indices], "suc": i, "principal": i or null,
+# "premises": [indices of earlier nodes]}, so a shared subproof is one
+# entry that several nodes name.  With indent, a line holds one formula
+# or one node, at an indent that does not grow with the proof's depth.
+#
+# The reader also reads the older nested layout, in which a node is
+# {"rule", "sequent": {"ctx", "suc"}, "principal", "premises"} with the
+# formula texts in place, and a subproof already written in full is
+# written again as {"ref": k}, where k counts the full nodes in the order
+# they end (post-order).  A nested file without refs is a plain tree.
 
-def proof_to_obj(proof: SequentProof) -> dict:
-    index: dict[int, int] = {}
+def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
+    """The proof in the table layout, written by one fold.  A context is
+    written in key order, so the text does not depend on set order."""
+    number: dict[str, str] = {}  # formula text -> its index, as text
+    nodes: list[str] = []
 
-    def emit(node: SequentProof) -> dict:
-        k = index.get(id(node))
-        if k is not None:
-            return {"ref": k}
-        obj = {
-            "rule": node.rule.value,
-            "sequent": {
-                "ctx": [show(f) for f in node.conclusion.sorted_ctx()],
-                "suc": show(node.conclusion.suc),
-            },
-            "principal": None if node.principal is None else show(node.principal),
-            "premises": [emit(p) for p in node.premises],
-        }
-        index[id(node)] = len(index)
-        return obj
+    def index(text: str) -> str:
+        i = number.get(text)
+        if i is None:
+            i = number[text] = str(len(number))
+        return i
 
-    return emit(proof)
+    def combine(node: SequentProof, subs: list[int]) -> int:
+        ctx = ", ".join([index(t) for t in sorted(map(show, node.conclusion.ctx))])
+        principal = "null" if node.principal is None else index(show(node.principal))
+        nodes.append(
+            f'{{"rule": "{node.rule.value}", "ctx": [{ctx}], "suc": {index(show(node.conclusion.suc))}, '
+            f'"principal": {principal}, "premises": [{", ".join(map(str, subs))}]}}'
+        )
+        return len(nodes) - 1
+
+    fold(proof, combine)
+    texts = [json.dumps(t) for t in number]
+    if indent is None:
+        return '{"formulas": [' + ", ".join(texts) + '], "nodes": [' + ", ".join(nodes) + "]}"
+    outer = "\n" + " " * indent
+    inner = outer + " " * indent
+    return (
+        "{" + outer + '"formulas": [' + inner + ("," + inner).join(texts) + outer + "],"
+        + outer + '"nodes": [' + inner + ("," + inner).join(nodes) + outer + "]\n}"
+    )
 
 
 class _ProofDecoder:
-    """Builds proof nodes as the JSON decoder finishes each object,
-    innermost first, so the decoded object tree is never held whole.
-    That is also the order in which refs number the nodes.  Each distinct
-    formula text is parsed once per file, and every occurrence of it gets
-    the same object."""
+    """The object hook of the one json.loads pass over a proof file.  It
+    builds a nested-layout node, one with a "sequent" or a "ref", as the
+    decoder finishes its object, innermost first, so the decoded object
+    tree is never held whole; that is also the order in which refs number
+    the nodes.  Every other object is left as it is: table() reads a file
+    of the table layout once it is decoded.  Each distinct formula text is
+    parsed once per file, and every occurrence of it gets the same object."""
 
     def __init__(self):
-        self.table: list[SequentProof] = []
+        self.nested: list[SequentProof] = []
         self.formulas: dict[str, Formula] = {}
 
     def __call__(self, o: dict):
         if "ref" in o:
             k = o["ref"]
-            if type(k) is not int or not 0 <= k < len(self.table):
+            if type(k) is not int or not 0 <= k < len(self.nested):
                 raise ValueError(f"ref {k!r:.80} names no subproof read before it")
-            return self.table[k]
-        if not ("rule" in o or "sequent" in o or "premises" in o):
-            return seq(map(self.formula, json_list(json_field(o, "ctx"), "ctx")), self.formula(json_field(o, "suc")))
+            return self.nested[k]
+        if "sequent" not in o:
+            return o
+        conclusion = o["sequent"]
+        if isinstance(conclusion, dict):
+            ctx = map(self.formula, json_list(json_field(conclusion, "ctx"), "ctx"))
+            conclusion = seq(ctx, self.formula(json_field(conclusion, "suc")))
         rule = Rule(json_field(o, "rule"))
-        conclusion = json_field(o, "sequent")
         if not isinstance(conclusion, Sequent):
             raise ValueError("sequent must be a JSON object with ctx and suc")
         raw = o.get("principal")
@@ -532,7 +558,7 @@ class _ProofDecoder:
         for p in premises:
             _require_node(p)
         node = SequentProof(conclusion, rule, principal, premises)
-        self.table.append(node)
+        self.nested.append(node)
         return node
 
     def formula(self, text) -> Formula:
@@ -543,6 +569,34 @@ class _ProofDecoder:
             phi = self.formulas[text] = parse(text, allow_primed=True)
         return phi
 
+    def table(self, o: dict) -> SequentProof:
+        """The root of a file in the table layout.  Every index must be an
+        int in range, and a premise must come before its node."""
+        formulas = [self.formula(t) for t in json_list(json_field(o, "formulas"), "formulas")]
+        entries = json_list(json_field(o, "nodes"), "nodes")
+        if not entries:
+            raise ValueError("nodes must not be empty: the root is the last node")
+        nodes: list[SequentProof] = []
+        for k, n in enumerate(entries):
+            if not isinstance(n, dict):
+                raise ValueError(f"node {k} must be a JSON object with a rule, got {n!r:.80}")
+            ctx = frozenset([_at(formulas, i, k, "formula") for i in json_list(json_field(n, "ctx"), "ctx")])
+            raw = n.get("principal")
+            nodes.append(SequentProof(
+                Sequent(ctx, _at(formulas, json_field(n, "suc"), k, "formula")),
+                Rule(json_field(n, "rule")),
+                None if raw is None else _at(formulas, raw, k, "formula"),
+                tuple([_at(nodes, i, k, "premise") for i in json_list(n.get("premises", []), "premises")]),
+            ))
+        return nodes[-1]
+
+
+def _at(table: list, i, k: int, what: str):
+    """table[i], for an index i that node k gives as a formula or premise."""
+    if type(i) is not int or not 0 <= i < len(table):
+        raise ValueError(f"node {k} {what} index {i!r:.80} is not an integer in range({len(table)})")
+    return table[i]
+
 
 def _require_node(value) -> SequentProof:
     if not isinstance(value, SequentProof):
@@ -550,14 +604,13 @@ def _require_node(value) -> SequentProof:
     return value
 
 
-def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
-    return json.dumps(proof_to_obj(proof), indent=indent)
-
-
 def proof_from_json(text: str) -> SequentProof:
-    """Inverse of proof_to_json: each ref resolves to the same object.
-    Malformed input raises ValueError."""
+    """Inverse of proof_to_json, for files of either layout: a node named
+    more than once, by index or by ref, is read as one object.  Malformed
+    input raises ValueError."""
+    decoder = _ProofDecoder()
     try:
-        return _require_node(json.loads(text, object_hook=_ProofDecoder()))
+        obj = json.loads(text, object_hook=decoder)
+        return decoder.table(obj) if isinstance(obj, dict) else _require_node(obj)
     except RecursionError:
         raise ValueError("proof file is nested too deeply") from None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from connexive.formula import And, Formula, Imp, Neg, Or, Var, closure_set, key
+from connexive.formula import And, Formula, Imp, Neg, Or, Var, closure_set, key, show
 from connexive.natded import (
     RULES_OF_SYSTEM,
     Derivation,
@@ -35,6 +35,91 @@ def shared_or_chain(n: int) -> SequentProof:
     for k in reversed(range(n)):
         node = SequentProof(seq([r, *qs[:k], *ors[k:]], r), Rule.OR_LEFT, ors[k], (node, node))
     return node
+
+
+def and_left_tower(n: int) -> SequentProof:
+    """Valid sc proof of p & p, p => p that is n + 1 levels deep: n
+    (and left) nodes that keep their principal, over an (init1) leaf."""
+    p = Var("p")
+    pp = And(p, p)
+    node = SequentProof(seq([pp, p], p), Rule.INIT1)
+    for _ in range(n):
+        node = SequentProof(seq([pp, p], p), Rule.AND_LEFT, pp, (node,))
+    return node
+
+
+def same_proof(a: SequentProof, b: SequentProof) -> bool:
+    """a == b, compared with an explicit stack rather than the dataclass
+    __eq__, which recurses once per level of the proof."""
+    stack, seen = [(a, b)], set()
+    while stack:
+        x, y = stack.pop()
+        if (id(x), id(y)) in seen:
+            continue
+        seen.add((id(x), id(y)))
+        if (x.conclusion, x.rule, x.principal, len(x.premises)) != (y.conclusion, y.rule, y.principal, len(y.premises)):
+            return False
+        stack.extend(zip(x.premises, y.premises))
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The nested proof layout, which proof files had before the formula table
+# and which proof_from_json still reads.
+
+def reference_proof_to_obj(proof: SequentProof) -> dict:
+    """A proof as an object of the nested layout: a node is {"rule",
+    "sequent": {"ctx", "suc"}, "principal", "premises"}, and a node
+    already written in full is written again as {"ref": k}, where k counts
+    the full nodes in the order they end.  Recursive, so only for proofs
+    shallower than the recursion limit."""
+    index: dict[int, int] = {}
+
+    def emit(node: SequentProof) -> dict:
+        k = index.get(id(node))
+        if k is not None:
+            return {"ref": k}
+        obj = {
+            "rule": node.rule.value,
+            "sequent": {
+                "ctx": [show(f) for f in node.conclusion.sorted_ctx()],
+                "suc": show(node.conclusion.suc),
+            },
+            "principal": None if node.principal is None else show(node.principal),
+            "premises": [emit(p) for p in node.premises],
+        }
+        index[id(node)] = len(index)
+        return obj
+
+    return emit(proof)
+
+
+# Files in the table layout that proof_from_json rejects, each with a part
+# of its message: a valid file is {"formulas": ["p", "p -> p"], "nodes":
+# [<init1 p => p>, <imp_right => p -> p over node 0>]}.
+def _table_file(nodes, formulas=("p", "p -> p")) -> dict:
+    return {"formulas": list(formulas), "nodes": nodes}
+
+
+_LEAF = {"rule": "init1", "ctx": [0], "suc": 0, "principal": None, "premises": []}
+MALFORMED_TABLE_FILES = [
+    (_table_file([{**_LEAF, "premises": [0]}]), "node 0 premise index 0 is not an integer in range(0)"),
+    (_table_file([{**_LEAF, "rule": "imp_right", "ctx": [], "suc": 1, "premises": [1]}, _LEAF]),
+     "node 0 premise index 1"),
+    (_table_file([_LEAF, {**_LEAF, "rule": "imp_right", "ctx": [], "suc": 1, "premises": [-1]}]),
+     "node 1 premise index -1"),
+    (_table_file([{**_LEAF, "ctx": [2]}]), "node 0 formula index 2 is not an integer in range(2)"),
+    (_table_file([{**_LEAF, "suc": True}]), "node 0 formula index True"),
+    (_table_file([{**_LEAF, "principal": 0.0}]), "node 0 formula index 0.0"),
+    (_table_file([{**_LEAF, "ctx": 0}]), "ctx must be a list"),
+    (_table_file([[]]), "node 0 must be a JSON object"),
+    (_table_file([{"ctx": [0], "suc": 0}]), "missing field 'rule'"),
+    ({"nodes": [_LEAF]}, "missing field 'formulas'"),
+    ({"formulas": ["p"]}, "missing field 'nodes'"),
+    (_table_file([]), "nodes must not be empty"),
+    (_table_file([_LEAF], formulas=["p &&"]), "expected"),
+    (_table_file([_LEAF], formulas=[1]), "formula must be a string"),
+]
 
 
 # ---------------------------------------------------------------------------

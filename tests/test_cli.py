@@ -5,12 +5,12 @@ import pytest
 
 from connexive.cli import main
 from connexive.natded import NdSystem, check_derivation, derivation_from_json
-from connexive.sequent import Calculus, check_proof, proof_from_json, proof_to_json
+from connexive.sequent import Calculus, Rule, check_proof, proof_from_json, proof_to_json
 from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
 from connexive.formula import Imp, Var
 
-from helpers import shared_or_chain
+from helpers import MALFORMED_TABLE_FILES, and_left_tower, shared_or_chain
 
 p, q = Var("p"), Var("q")
 
@@ -120,6 +120,29 @@ def test_check_rejects_principal_on_right_rule(capsys, monkeypatch):
     assert out.startswith("invalid") and "imp_right takes no principal formula" in out
 
 
+@pytest.mark.parametrize("obj, message", MALFORMED_TABLE_FILES)
+def test_check_malformed_table(capsys, monkeypatch, obj, message):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj, indent=2)))
+    code, out, err = run(capsys, "check", "sc", "sc", "-")
+    assert code == 2
+    assert out == "" and message in err
+
+
+def test_check_deep_proof(capsys, tmp_path):
+    """A proof 3,001 levels deep is checked under the default limit."""
+    path = tmp_path / "deep.json"
+    path.write_text(proof_to_json(and_left_tower(3000), indent=2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, _ = run(capsys, "check", "sc", "sc", str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0 and out.strip() == "valid"
+
+
 def test_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -199,8 +222,8 @@ def test_deep_conjunction_chain_is_proved(capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert code == 0
-    proof = json.loads(out)
-    assert proof["rule"] == "and_left" and proof["premises"][0]["rule"] == "init1"
+    proof = proof_from_json(out)
+    assert proof.rule is Rule.AND_LEFT and proof.premises[0].rule is Rule.INIT1
 
 
 @pytest.mark.parametrize(
@@ -286,6 +309,20 @@ def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
     code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", calculus)
     assert code == 1
     assert out == "" and "init1 succedent must be an atom" in err
+
+
+def test_transform_weaken_keeps_the_language(capsys, tmp_path):
+    """ljp has no ~, so weakening an ljp proof by ~q is an input error."""
+    code, out, _ = run(capsys, "prove", "ljp", "p -> p")
+    assert code == 0
+    path = tmp_path / "pp.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "transform", "weaken", str(path), "--calculus", "ljp", "--by", "~q")
+    assert code == 2
+    assert out == "" and "negation not in the language of ljp" in err
+    code, out, _ = run(capsys, "transform", "weaken", str(path), "--calculus", "ljp", "--by", "q")
+    assert code == 0
+    assert check_proof(Calculus.LJP, proof_from_json(out)).ok
 
 
 def test_transform_sc2nd_starred_budget_exhausted(capsys, tmp_path):

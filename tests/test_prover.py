@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -38,7 +39,7 @@ from connexive.sequent import (
     shape,
 )
 
-from helpers import rand_formula, rand_sequent
+from helpers import rand_formula, rand_sequent, reference_proof_to_obj
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -294,7 +295,10 @@ def test_proof_json_digest_unchanged():
     """decide's verdicts and proof JSON on a fixed corpus hash to the digest
     recorded by running this same loop on commit 80e5207, a checkout made
     before formulas stored their hash and text.  Search order follows set
-    iteration order and sort keys, so this holds both to what they were."""
+    iteration order and sort keys, so this holds both to what they were.
+    Each proof goes through a proof file and is hashed in the nested
+    layout that proof_to_json wrote then, so the digest pins both decide's
+    proofs and the file round trip."""
     rng = random.Random(7)
     corpus = [rand_sequent(rng, 10) for _ in range(300)]
     cfg = SearchConfig(memo=False)
@@ -304,8 +308,45 @@ def test_proof_json_digest_unchanged():
             res = decide(calc, s, cfg)
             digest.update(res.verdict.value.encode())
             if res.proof is not None:
-                digest.update(proof_to_json(res.proof, indent=2).encode())
+                back = proof_from_json(proof_to_json(res.proof, indent=2))
+                digest.update(json.dumps(reference_proof_to_obj(back), indent=2).encode())
     assert digest.hexdigest() == "dba1b298672b3626432257b40c815656ecec03ebf011b544e83300b34a715dee"
+
+
+# the digest corpus again, hashed as the bytes of today's proof files
+_FILE_DIGEST = """
+import hashlib, random
+from helpers import rand_sequent
+from connexive.prover import decide
+from connexive.sequent import CONNEXIVE_CALCULI, proof_to_json
+
+rng = random.Random(7)
+digest = hashlib.sha256()
+for s in [rand_sequent(rng, 10) for _ in range(300)]:
+    for calc in sorted(CONNEXIVE_CALCULI):
+        res = decide(calc, s)
+        digest.update(res.verdict.value.encode())
+        if res.proof is not None:
+            digest.update(proof_to_json(res.proof, indent=2).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_proof_file_digest_under_hash_seeds():
+    """The proof files decide's proofs make are the same bytes whatever
+    the string hash seed, which sets the iteration order of formula sets."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(connexive.__file__)), tests])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _FILE_DIGEST], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1", "2", "5")
+    ]
+    outs = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0] * 4, [err for _, err in outs]
+    assert {out.strip() for out, _ in outs} == {"caf88ee229cf16ae34084fca7e24942b8eb6f19dd3e64e7a6a9893c8574bd49b"}
 
 
 def test_search_shapes_fit_schemas():
@@ -331,6 +372,27 @@ def test_decide_keeps_nothing_between_calls():
     first, second = decide(Calculus.SMC, s), decide(Calculus.SMC, s)
     assert first.stats.nodes_expanded == second.stats.nodes_expanded > 0
     assert first.proof == second.proof
+
+
+def test_decide_restores_the_recursion_limit():
+    """decide raises the recursion limit only while its search runs, and
+    leaves the caller's limit in place on every verdict."""
+    peirce = seq([], Imp(Imp(Imp(q, p), q), q))
+    cases = [
+        (Calculus.SC, seq([], Imp(p, p)), SearchConfig(), Verdict.PROVABLE),
+        (Calculus.SC, seq([], LEM), SearchConfig(), Verdict.UNPROVABLE),
+        (Calculus.SMC, peirce, SearchConfig(node_budget=1), Verdict.RESOURCE_EXCEEDED),
+        (Calculus.SMC_STAR, peirce, SearchConfig(), Verdict.PROVABLE),
+        (Calculus.SCN_STAR, seq([], Imp(p, q)), SearchConfig(), Verdict.UNPROVABLE),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1234)
+    try:
+        for calc, s, cfg, verdict in cases:
+            assert decide(calc, s, cfg).verdict is verdict
+            assert sys.getrecursionlimit() == 1234, (calc, verdict)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_budget():

@@ -28,7 +28,14 @@ from connexive.sequent import (
 from connexive import sequent
 from connexive.prover import SearchConfig, decide
 
-from helpers import rand_formula, shared_or_chain
+from helpers import (
+    MALFORMED_TABLE_FILES,
+    and_left_tower,
+    rand_formula,
+    reference_proof_to_obj,
+    same_proof,
+    shared_or_chain,
+)
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -202,6 +209,16 @@ def test_weaken_rejects_invalid():
         weaken_proof(Calculus.SC, bogus, {r})
 
 
+def test_weaken_keeps_the_language():
+    """Weakening adds formulas to every context, so in a calculus without
+    connexive negation it may not add a formula with ~, as identity_proof
+    may not use one."""
+    base = identity_proof(Calculus.LJP, Imp(p, p))
+    with pytest.raises(ValueError, match="negation not in the language of ljp"):
+        weaken_proof(Calculus.LJP, base, {Neg(q)})
+    assert check_proof(Calculus.LJP, weaken_proof(Calculus.LJP, base, {q})).ok
+
+
 # a nested proof file, without refs, as written before refs existed
 NESTED = (
     '{"rule": "and_right", "sequent": {"ctx": ["p & ~q"], "suc": "p & ~q"}, "principal": null, '
@@ -213,15 +230,30 @@ NESTED = (
 )
 
 
+# the same proof as proof_to_json writes it: a formula table, then each
+# node after its premises, the root last
+TABLE = (
+    '{"formulas": ["p", "~q", "p & ~q"], "nodes": ['
+    '{"rule": "init2", "ctx": [0, 1], "suc": 1, "principal": null, "premises": []}, '
+    '{"rule": "and_left", "ctx": [2], "suc": 1, "principal": 2, "premises": [0]}, '
+    '{"rule": "init1", "ctx": [0, 1], "suc": 0, "principal": null, "premises": []}, '
+    '{"rule": "and_left", "ctx": [2], "suc": 0, "principal": 2, "premises": [2]}, '
+    '{"rule": "and_right", "ctx": [2], "suc": 2, "principal": null, "premises": [3, 1]}]}'
+)
+
+
 def test_json_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         proof = identity_proof(Calculus.SC, rand_formula(rng, 7))
-        assert proof_from_json(proof_to_json(proof)) == proof
+        text = proof_to_json(proof)
+        assert proof_from_json(text) == proof
         assert proof_from_json(proof_to_json(proof, indent=2)) == proof
-    # a proof without shared nodes is written as a plain nested tree
+        # the text is what json.dumps writes for the same object
+        assert json.dumps(json.loads(text)) == text
+        assert json.loads(proof_to_json(proof, indent=2)) == json.loads(text)
     proof = identity_proof(Calculus.SC, And(p, Neg(q)))
-    assert proof_to_json(proof) == NESTED
+    assert proof_to_json(proof) == TABLE
     assert proof_from_json(NESTED) == proof
 
 
@@ -264,6 +296,10 @@ def test_json_keeps_sharing():
     assert back.premises[0] is back.premises[1]
     assert proof_to_json(back) == text
     assert proof_to_json(proof_from_json(proof_to_json(chain, indent=2))) == text
+    # a file of the nested layout, with its refs, reads to the same proof
+    nested = proof_from_json(json.dumps(reference_proof_to_obj(chain), indent=2))
+    assert distinct_nodes(nested) == 41 and same_proof(nested, chain)
+    assert proof_to_json(nested) == text
 
 
 ITEM2 = "~(q | q) => ~((~r | ~r) & (q & r -> r | p))"
@@ -329,6 +365,35 @@ def test_proof_from_json_shares_formulas(item2_smc):
 def test_proof_from_json_rejects_malformed(obj, message):
     with pytest.raises(ValueError, match=message):
         proof_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_TABLE_FILES)
+def test_proof_from_json_rejects_malformed_table(obj, message):
+    with pytest.raises(ValueError) as caught:
+        proof_from_json(json.dumps(obj))
+    assert message in str(caught.value)
+
+
+def test_deep_proof_roundtrip_under_default_limit():
+    """Writing and reading a proof file recurses at no depth of the proof."""
+    tower = and_left_tower(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = proof_to_json(tower, indent=2)
+        back = proof_from_json(text)
+        again = proof_to_json(back, indent=2)
+    except RecursionError:
+        back = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back is not None, "the proof file round trip recursed"
+    assert same_proof(back, tower) and back.depth() == 3001
+    assert again == text
+    # one line per formula and per node, none indented past the node list
+    lines = text.splitlines()
+    assert len(lines) == 2 + 3001 + 6
+    assert max(len(ln) - len(ln.lstrip()) for ln in lines) == 4
 
 
 def test_rule_tables():
