@@ -37,11 +37,22 @@ each decomposes.  Invertible rules are applied eagerly (one committed
 instance per node); this is completeness-preserving because each such
 rule's premises are interderivable with its conclusion via cut,
 weakening, and identity, all admissible in every calculus here.
+
+A premise is its node's context plus one or two formulas, so the search
+makes each node cost what its premise adds.  The branch is an explicit
+stack of frames (_Frame), one per expanded node.  Each frame carries its
+context's truth mask: a premise's mask is its node's ANDed with the
+truth masks of the formulas its rule adds, and it is computed only for a
+premise that the proved, failed and history tables do not answer.  A
+node that needs left rules takes its live left candidates, in key
+order, from the nearest frame below that has them: adding formulas can
+only drop a candidate, so only those whose premises meet the new
+formulas are checked again, and the new formulas' candidates are merged
+in.  (Peirce) principals are built once per succedent.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 import time
 from dataclasses import InitVar, dataclass, field
@@ -170,7 +181,9 @@ def decide(
     search = _Search(calc, cfg, analysis)
     limit = sys.getrecursionlimit()
     if limit < 100_000:
-        sys.setrecursionlimit(100_000)  # dfs recurses once per branch level
+        # the search keeps its own stack, but show (for sort keys) and
+        # the dataclass Formula.__eq__ still recurse once per formula level
+        sys.setrecursionlimit(100_000)
     try:
         proof, _ = search.dfs(s, 0)
     except _BudgetExhausted:
@@ -230,8 +243,8 @@ class Tables:
         """These tables, masks and memo shared, with refutes limited to
         the valuations that the given restrictions allow: one calculus's
         view of tables that several calculi share."""
-        view = copy.copy(self)
-        view.allowed = self._allowed(require_t_or_f, pem_pairs)
+        view = object.__new__(Tables)
+        view.__dict__.update(self.__dict__, allowed=self._allowed(require_t_or_f, pem_pairs))
         return view
 
     def _allowed(self, require_t_or_f: bool, pem_pairs: bool) -> int:
@@ -257,38 +270,57 @@ class Tables:
         return mask
 
     def tf(self, phi: Formula) -> tuple[int, int]:
-        hit = self._memo.get(phi)
+        """The (truth, falsity) masks of phi, memoized for every
+        subformula.  The subformulas not yet known are listed each before
+        its parts and evaluated in reverse, so no depth of formula can
+        overflow the interpreter's stack."""
+        memo = self._memo
+        hit = memo.get(phi)
         if hit is not None:
             return hit
-        if isinstance(phi, Var):
-            i = self.index[phi]
-            out = (self._bit[2 * i], self._bit[2 * i + 1])
-        elif isinstance(phi, Neg):
-            t, f = self.tf(phi.body)
-            out = (f, t)
-        elif isinstance(phi, And):
-            ta, fa = self.tf(phi.left)
-            tb, fb = self.tf(phi.right)
-            out = (ta & tb, fa | fb)
-        elif isinstance(phi, Or):
-            ta, fa = self.tf(phi.left)
-            tb, fb = self.tf(phi.right)
-            out = (ta | tb, fa & fb)
-        else:
-            ta, _ = self.tf(phi.left)
-            tb, fb = self.tf(phi.right)
-            nta = ~ta & self.full
-            out = (nta | tb, nta | fb)
-        self._memo[phi] = out
-        return out
+        order = [phi]
+        for f in order:
+            if isinstance(f, Neg):
+                if f.body not in memo:
+                    order.append(f.body)
+            elif not isinstance(f, Var):
+                if f.left not in memo:
+                    order.append(f.left)
+                if f.right not in memo:
+                    order.append(f.right)
+        for f in reversed(order):
+            if isinstance(f, Var):
+                i = self.index[f]
+                memo[f] = (self._bit[2 * i], self._bit[2 * i + 1])
+            elif isinstance(f, Neg):
+                t, fa = memo[f.body]
+                memo[f] = (fa, t)
+            else:
+                (ta, fa), (tb, fb) = memo[f.left], memo[f.right]
+                if isinstance(f, And):
+                    memo[f] = (ta & tb, fa | fb)
+                elif isinstance(f, Or):
+                    memo[f] = (ta | tb, fa & fb)
+                else:
+                    nta = ~ta & self.full
+                    memo[f] = (nta | tb, nta | fb)
+        return memo[phi]
 
-    def refutes(self, s: Sequent) -> bool:
+    def truth(self, ctx) -> int:
+        """The allowed valuations that make every formula of ctx true."""
         m = self.allowed
-        for phi in s.ctx:
+        for phi in ctx:
             m &= self.tf(phi)[0]
-            if not m:
-                return False
-        return bool(m & ~self.tf(s.suc)[0] & self.full)
+        return m
+
+    def refutes(self, s: Sequent, truth: int | None = None) -> bool:
+        """Whether an allowed valuation makes s's context true and its
+        succedent not true.  truth is self.truth(s.ctx) when the caller
+        already has it: a search carries it from each node to its
+        premises."""
+        if truth is None:
+            truth = self.truth(s.ctx)
+        return bool(truth & ~self.tf(s.suc)[0] & self.full)
 
 
 _NO_DEP = 1 << 60  # failure consulted no branch ancestor
@@ -332,6 +364,34 @@ class _Analysis:
         return isinstance(f, Imp) and f.left in self.universe and f.right in self.universe
 
 
+def _live(cand, ctx: frozenset[Formula]) -> bool:
+    """Whether a left candidate's instance keeps every premise apart
+    from its node in a context ctx: no premise that keeps the node's
+    succedent adds only formulas already in ctx."""
+    for trigger in cand[4]:
+        if trigger <= ctx:
+            return False
+    return True
+
+
+class _Frame:
+    """An expanded node on the search's branch: its sequent and depth,
+    its context's truth mask, the nearest left candidates on the branch
+    with their context (its own once it builds them), its instance
+    iterator, the instance being tried with the premises proved so far,
+    and the shallowest ancestor depth that its failed instances
+    consulted."""
+
+    __slots__ = ("s", "depth", "truth", "left", "instances", "inst", "built", "min_dep")
+
+    def __init__(self, s: Sequent, depth: int, truth: int, left):
+        self.s = s
+        self.depth = depth
+        self.truth = truth
+        self.left = left
+        self.min_dep = _NO_DEP
+
+
 class _Search:
     def __init__(self, calc: Calculus, cfg: SearchConfig, analysis: _Analysis):
         self.rules = RULES_OF[calc]
@@ -346,6 +406,9 @@ class _Search:
         self.history: dict[Sequent, int] = {}
         self.nodes = 0
         self.max_depth = 0
+        # left candidates by principal; (Peirce) principals by succedent
+        self._candidates: dict[Formula, tuple | None] = {}
+        self._peirce: dict[Formula, list[Imp]] = {}
 
     @staticmethod
     def _build_universe(calc: Calculus, goal: Sequent) -> frozenset[Formula]:
@@ -356,52 +419,83 @@ class _Search:
         return uni
 
     def dfs(self, s: Sequent, depth: int) -> tuple[SequentProof | None, int]:
-        """Returns (proof, dep) where dep is the shallowest branch depth
-        of an ancestor whose presence on the branch influenced a failure;
-        _NO_DEP for successes and absolute failures."""
-        hit = self.proved.get(s)
-        if hit is not None:
-            return hit, _NO_DEP
-        if s in self.failed:
-            return None, _NO_DEP
-        prior = self.history.get(s)
-        if prior is not None:
-            return None, prior
-        self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
-            raise _BudgetExhausted
-        self.max_depth = max(self.max_depth, depth)
-        if self.tables.refutes(s):
-            self.failed.add(s)
-            return None, _NO_DEP
-        ax = self._axiom(s)
-        if ax is not None:
-            proof = SequentProof(s, ax)
-            self.proved[s] = proof
-            return proof, _NO_DEP
-        self.history[s] = depth
-        min_dep = _NO_DEP
-        try:
-            for rule, principal, prems in self._instances(s):
-                built: list[SequentProof] = []
-                inst_dep = _NO_DEP
-                for p in prems:
-                    sub, dep = self.dfs(p, depth + 1)
-                    if sub is None:
-                        inst_dep = dep
-                        break
-                    built.append(sub)
+        """Searches s as a node at depth and returns (proof, dep), where
+        dep is the shallowest branch depth of an ancestor whose presence
+        on the branch influenced a failure; _NO_DEP for successes and
+        absolute failures.
+
+        The branch is a stack of frames, one per expanded node.  A node
+        is visited as s or as the next premise of the top frame.  It is
+        answered at once by the proved, failed and history tables, the
+        table filter or an axiom, or else expanded and pushed.  An answer
+        goes to the top frame, which then visits its next premise, tries
+        its next instance, or pops and answers its own parent."""
+        proved, failed, history = self.proved, self.failed, self.history
+        tables = self.tables
+        tf, refutes, budget = tables.tf, tables.refutes, self.cfg.node_budget
+        stack: list[_Frame] = []
+        top: _Frame | None = None  # the frame whose premise t is
+        t, d, adds = s, depth, ()
+        while True:
+            # the three tables never share a sequent, so the most often
+            # hit, history, is asked first
+            sub, dep = None, history.get(t)
+            if dep is None:
+                sub, dep = proved.get(t), _NO_DEP
+                if sub is None and t not in failed:
+                    self.nodes += 1
+                    if self.nodes > budget:
+                        raise _BudgetExhausted
+                    if d > self.max_depth:
+                        self.max_depth = d
+                    if top is None:
+                        truth = tables.truth(t.ctx)
+                    else:
+                        truth = top.truth
+                        for f in adds:
+                            truth &= tf(f)[0]
+                    if refutes(t, truth):
+                        failed.add(t)
+                    else:
+                        ax = self._axiom(t)
+                        if ax is not None:
+                            sub = proved[t] = SequentProof(t, ax)
+                        else:
+                            history[t] = d
+                            top = _Frame(t, d, truth, top and top.left)
+                            top.instances = self._instances(top)
+                            stack.append(top)
+                            # a new frame goes on as if an instance had failed
+            while top is not None:
+                if sub is None:
+                    if dep < top.min_dep:
+                        top.min_dep = dep
+                    inst = next(top.instances, None)
+                    if inst is None:
+                        stack.pop()
+                        del history[top.s]
+                        if top.min_dep >= top.depth:
+                            failed.add(top.s)
+                            dep = _NO_DEP
+                        else:
+                            dep = top.min_dep
+                        top = stack[-1] if stack else None
+                        continue
+                    top.inst, top.built = inst, []
                 else:
-                    proof = SequentProof(s, rule, principal, tuple(built))
-                    self.proved[s] = proof
-                    return proof, _NO_DEP
-                min_dep = min(min_dep, inst_dep)
-        finally:
-            del self.history[s]
-        if min_dep >= depth:
-            self.failed.add(s)
-            return None, _NO_DEP
-        return None, min_dep
+                    top.built.append(sub)
+                rule, principal, specs = top.inst
+                if len(top.built) < len(specs):
+                    adds, g = specs[len(top.built)]
+                    ctx = top.s.ctx
+                    t, d = Sequent(ctx | frozenset(adds) if adds else ctx, g), top.depth + 1
+                    break
+                stack.pop()
+                del history[top.s]
+                sub = proved[top.s] = SequentProof(top.s, rule, principal, tuple(top.built))
+                top = stack[-1] if stack else None
+            else:
+                return sub, dep
 
     def _axiom(self, s: Sequent) -> Rule | None:
         g = s.suc
@@ -416,43 +510,117 @@ class _Search:
             return Rule.INIT2
         return None
 
-    def _instances(self, s: Sequent):
-        """All rule instances with the node's full context retained in
-        every premise (G3-style).  Instances with a premise equal to the
-        node itself are dropped: any proof through such an instance
+    def _instances(self, frame: _Frame):
+        """The node's rule instances in search order, each (rule,
+        principal, premise specs), with the node's full context retained
+        in every premise (G3-style).  Instances with a premise equal to
+        the node itself are dropped: any proof through such an instance
         contains a smaller proof of the node in that premise.  The first
-        instance of an invertible rule is the only one tried."""
-        right_inv, right_choice = _RIGHT.get(shape(s.suc), _NO_RULES)
-        first = next(self._apply(s, [(right_inv, None)]), None)
-        if first is None:
-            left = [(_LEFT.get(shape(phi), _NO_RULES), phi) for phi in sorted(s.ctx, key=key)]
-            first = next(self._apply(s, [(inv, phi) for (inv, _), phi in left]), None)
-        if first is not None:
-            yield first
-            return
-        yield from self._apply(s, [(right_choice, None)] + [(choice, phi) for (_, choice), phi in left])
-        if Rule.EX_MIDDLE in self.rules:
-            # atomic instantiation only (at-ex-middle form)
-            yield from self._apply(s, (((Rule.EX_MIDDLE,), p) for p in self.analysis.ordered[1]))
-        if Rule.PEIRCE in self.rules:
-            # alpha is fixed by the goal succedent; beta ranges over the universe
-            yield from self._apply(s, (((Rule.PEIRCE,), Imp(s.suc, beta)) for beta in self.analysis.ordered[0]))
-        if Rule.P_EX_MIDDLE in self.rules:
-            yield from self._apply(s, (((Rule.P_EX_MIDDLE,), p) for p in self.analysis.ordered[1]))
+        instance of an invertible rule is the only one tried.
 
-    def _apply(self, s: Sequent, candidates):
-        """Instances of the calculus's rules among candidates, pairs of
-        (rules, principal), built from the schema table."""
-        for rules, principal in candidates:
-            for rule in rules:
-                if rule in self.rules:
-                    inst = self._emit(s, rule, principal, SCHEMAS[rule](s.suc, principal))
+        A node that commits a right rule never builds its left
+        candidates.  Otherwise it builds them once (_left) and leaves them
+        on its frame, for its premises to derive theirs from.  (Peirce)
+        principals are built once per succedent, and those already in
+        the context are skipped before any instance is built."""
+        s = frame.s
+        ctx, suc = s.ctx, s.suc
+        rules, emit = self.rules, self._emit
+        right_inv, right_choice = _RIGHT.get(shape(suc), _NO_RULES)
+        for rule in right_inv:
+            if rule in rules:
+                inst = emit(s, rule, None)
+                if inst is not None:
+                    yield inst
+                    return
+        left = self._left(ctx, frame.left)
+        frame.left = (ctx, left)
+        for _, phi, rule, invertible, *_ in left:
+            if invertible:
+                inst = emit(s, rule, phi)
+                if inst is not None:
+                    yield inst
+                    return
+        for rule in right_choice:
+            if rule in rules:
+                inst = emit(s, rule, None)
+                if inst is not None:
+                    yield inst
+        for _, phi, rule, invertible, *_ in left:
+            if not invertible:
+                inst = emit(s, rule, phi)
+                if inst is not None:
+                    yield inst
+        if Rule.EX_MIDDLE in rules:
+            # atomic instantiation only (at-ex-middle form)
+            for p in self.analysis.ordered[1]:
+                inst = emit(s, Rule.EX_MIDDLE, p)
+                if inst is not None:
+                    yield inst
+        if Rule.PEIRCE in rules:
+            # alpha is fixed by the goal succedent; beta ranges over the universe
+            imps = self._peirce.get(suc)
+            if imps is None:
+                imps = self._peirce[suc] = [Imp(suc, beta) for beta in self.analysis.ordered[0]]
+            for imp in imps:
+                if imp not in ctx:
+                    inst = emit(s, Rule.PEIRCE, imp)
                     if inst is not None:
                         yield inst
+        if Rule.P_EX_MIDDLE in rules:
+            for p in self.analysis.ordered[1]:
+                inst = emit(s, Rule.P_EX_MIDDLE, p)
+                if inst is not None:
+                    yield inst
 
-    def _emit(self, s, rule, principal, prem_specs):
-        """The instance (rule, principal, premises) that prem_specs give at
-        s, or None when a premise equals s.
+    def _candidate(self, phi: Formula):
+        """phi's left candidate, (key, phi, rule, invertible, triggers,
+        parts), or None when no left rule of the calculus decomposes phi.
+        Each shape names one left rule (_LEFT).  The triggers are the
+        context parts of the rule's premises that keep the node's
+        succedent, read off the schema with no succedent, since a left
+        rule passes it on untouched.  A context that includes a trigger
+        drops the instance.  parts is the union of the triggers."""
+        cand = self._candidates.get(phi, False)
+        if cand is False:
+            cand = None
+            inv, choice = _LEFT.get(shape(phi), _NO_RULES)
+            for rule in inv + choice:
+                if rule in self.rules:
+                    triggers = [frozenset(a) for a, g in SCHEMAS[rule](None, phi) if g is None]
+                    cand = (key(phi), phi, rule, rule in inv, triggers, triggers[0].union(*triggers[1:]))
+                    break
+            self._candidates[phi] = cand
+        return cand
+
+    def _left(self, ctx: frozenset[Formula], base) -> list[tuple]:
+        """The live left candidates of a node with context ctx, in key
+        order.  base is the context and candidates of the nearest
+        ancestor that built its own, or None at the first node of a
+        branch that needs them, which builds them from ctx.  Adding
+        formulas to a context can drop a candidate but never revive one,
+        so only the candidates whose triggers meet the new formulas are
+        checked again, and the new formulas' own candidates are merged
+        in.  A list is never changed once built, so premises share it."""
+        candidate = self._candidate
+        if base is None:
+            return sorted(c for c in map(candidate, ctx) if c is not None and _live(c, ctx))
+        old_ctx, left = base
+        new = ctx - old_ctx
+        if not new:
+            return left
+        kept = [c for c in left if c[5].isdisjoint(new) or _live(c, ctx)]
+        added = [c for c in map(candidate, new) if c is not None and _live(c, ctx)]
+        return sorted(kept + added) if added else kept
+
+    def _emit(self, s: Sequent, rule: Rule, principal: Formula | None):
+        """The instance (rule, principal, premise specs) of rule at s, or
+        None when a premise equals s.  A spec (a, g) from the schema table
+        names the premise whose context is s's plus a and whose
+        succedent is g.  dfs builds a premise only when it gets to it,
+        and ANDs the truth masks of a into s's mask for a premise that it
+        expands.  Left candidates and (Peirce) principals reach here only
+        when no premise that keeps the succedent is already s.
 
         The guard, always on, keeps this invariant: every formula of every
         node is covered by the universe.  The root's formulas were checked
@@ -461,14 +629,16 @@ class _Search:
         those keeps it, and the first formula outside the universe raises
         at the instance that adds it."""
         ctx, suc = s.ctx, s.suc
-        if any(g == suc and ctx.issuperset(a) for a, g in prem_specs):
-            return None
+        specs = SCHEMAS[rule](suc, principal)
+        for a, g in specs:
+            if g == suc and ctx.issuperset(a):
+                return None
         covered = self.analysis.covered
-        for a, g in prem_specs:
+        for a, g in specs:
             for f in (*a, g):
                 if not covered(f):
                     raise RuntimeError(f"proof search left its universe: {show(f)}")
-        return rule, principal, tuple(Sequent(ctx | frozenset(a) if a else ctx, g) for a, g in prem_specs)
+        return rule, principal, specs
 
 
 def eliminate_cut(calc: Calculus, proof: SequentProof, cfg: SearchConfig | None = None) -> SequentProof:

@@ -491,13 +491,17 @@ class _BruteOracle:
 def brute_force_sc3(s: Sequent) -> bool:
     import sys
 
-    if sys.getrecursionlimit() < 100_000:
-        sys.setrecursionlimit(100_000)
-    universe = closure_set({s.suc} | s.ctx)
-    oracle = _ORACLES.get(universe)
-    if oracle is None:
-        oracle = _ORACLES[universe] = _BruteOracle(universe)
-    return oracle.search(s, 0)[0]
+    limit = sys.getrecursionlimit()
+    if limit < 100_000:
+        sys.setrecursionlimit(100_000)  # the oracle recurses once per branch level
+    try:
+        universe = closure_set({s.suc} | s.ctx)
+        oracle = _ORACLES.get(universe)
+        if oracle is None:
+            oracle = _ORACLES[universe] = _BruteOracle(universe)
+        return oracle.search(s, 0)[0]
+    finally:
+        sys.setrecursionlimit(limit)  # the caller's limit
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_check_malformed_derivation(capsys, monkeypatch, text, message):
 
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, out, err = run(capsys, "check", "nd", "nc", "-")
     finally:
@@ -202,7 +202,7 @@ def test_check_malformed_derivation(capsys, monkeypatch, text, message):
 )
 def test_prove_deep_formula_is_input_error(capsys, goal):
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, out, err = run(capsys, "prove", "sc", goal)
     finally:
@@ -216,7 +216,7 @@ def test_deep_conjunction_chain_is_proved(capsys):
     long & chain reaches the search, which raises the limit it needs."""
     chain = " & ".join(["p"] * 2000)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, out, _ = run(capsys, "prove", "sc", f"{chain} => p")
     finally:
@@ -237,7 +237,7 @@ def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
     chain = " & ".join(["p"] * 2000)
     monkeypatch.setattr("sys.stdin", io.StringIO(chain + "\n"))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, _, err = run(capsys, *(a.format(chain=chain) for a in argv))
     finally:
@@ -254,7 +254,7 @@ def test_matrix_goes_on_after_a_line_nested_too_deeply(capsys, monkeypatch):
     chain = " & ".join(["p"] * 2000)
     monkeypatch.setattr("sys.stdin", io.StringIO(f"{chain}\nq -> q\n"))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, out, err = run(capsys, "matrix", "-")
     finally:

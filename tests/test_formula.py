@@ -112,7 +112,7 @@ def test_deep_formula_hashes_in_constant_depth():
     for i in range(5000):
         phi = Neg(phi) if i % 2 else Imp(q, phi)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         hashed = phi in {phi, p}
     except RecursionError:
@@ -127,7 +127,7 @@ def test_deep_formula_walks_in_constant_depth():
     for i in range(5000):
         phi = Neg(phi) if i % 2 else And(q, phi)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         got = (size(phi), atoms(phi), has_negation(phi), has_primed(phi), sum(1 for _ in subformulas(phi)))
     except RecursionError:

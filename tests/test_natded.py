@@ -330,7 +330,7 @@ def test_natded_walks_are_linear():
     n = 3000
     d = or_e_chain(n)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         assert check_derivation(NdSystem.NC, d).ok
         assert open_assumptions(d) == frozenset({p, q, Or(p, q)})

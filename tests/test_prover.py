@@ -39,7 +39,7 @@ from connexive.sequent import (
     shape,
 )
 
-from helpers import rand_formula, rand_sequent, reference_proof_to_obj
+from helpers import brute_force_sc3, rand_formula, rand_sequent, reference_proof_to_obj
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -349,6 +349,35 @@ def test_proof_file_digest_under_hash_seeds():
     assert {out.strip() for out, _ in outs} == {"caf88ee229cf16ae34084fca7e24942b8eb6f19dd3e64e7a6a9893c8574bd49b"}
 
 
+# the five hard rows of the prove benchmark, with their node counts
+_HARD_ROWS = (
+    ("smc-star", "(((r | p) & r) -> r), ((q & ~p) | ((~r -> ~q) -> (q & r))) => (~(r & ~q) | (~p & p))", 1111),
+    ("smc", "((q -> ~((r & ~q) -> (~(r & r) -> (q -> p)))) -> r), ((r | q) -> ~~~r)"
+     " => (((~p -> p) -> ((q & r) & (p | p))) | (~p | ~r))", 1523),
+    ("smc-star", "~~(~r -> ~q), ~~(((~q & ~p) -> q) & (r | (r -> q))) => (((~r -> ((p & ~r) & q)) | ~q) | r)", 1544),
+    ("smc", "~(q | q) => ~((~r | ~r) & (q & r -> r | p))", 2209),
+    ("smc-star", "(~p -> ((r -> ~r) | ~q)) => ((~p -> (q -> r)) | ((q | r) & ~p))", 2443),
+)
+
+
+def test_search_effort_unchanged():
+    """The search expands the same nodes however it is implemented: the
+    calculus, verdict, nodes expanded and depth of every decide on the
+    digest corpus hash to the digest recorded by running this same loop
+    on commit 7b66426, the last recursive search, under string hash
+    seeds 0 and 1 alike; and the hard rows keep their node counts."""
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for s in [rand_sequent(rng, 10) for _ in range(300)]:
+        for calc in sorted(CONNEXIVE_CALCULI):
+            res = decide(calc, s)
+            digest.update(f"{calc.value} {res.verdict.value} {res.stats.nodes_expanded} {res.stats.max_depth}\n".encode())
+    assert digest.hexdigest() == "9ce320cd0dac56664a5fe860afa5177aa3435503f90f94d1802eac5fe3cf4f07"
+    for calc, text, nodes in _HARD_ROWS:
+        res = decide(Calculus(calc), parse_sequent(text))
+        assert (res.verdict, res.stats.nodes_expanded) == (Verdict.PROVABLE, nodes), text
+
+
 def test_search_shapes_fit_schemas():
     """The search's shape index names each left and right rule once, under
     a shape whose formulas fit the rule's schema."""
@@ -361,6 +390,8 @@ def test_search_shapes_fit_schemas():
         indexed = [(rule, s) for s, groups in index.items() for group in groups for rule in group]
         assert sorted(rule for rule, _ in indexed) == sorted(side)
         assert all(fits(rule, by_shape[s]) is not None for rule, s in indexed)
+    # a left candidate is one rule per formula
+    assert all(len(inv) + len(choice) == 1 for inv, choice in _LEFT.values())
 
 
 def test_decide_keeps_nothing_between_calls():
@@ -391,6 +422,17 @@ def test_decide_restores_the_recursion_limit():
         for calc, s, cfg, verdict in cases:
             assert decide(calc, s, cfg).verdict is verdict
             assert sys.getrecursionlimit() == 1234, (calc, verdict)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_oracle_restores_the_recursion_limit():
+    """The test oracle raises the recursion limit only while it runs."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1234)
+    try:
+        assert brute_force_sc3(seq([p], Or(p, q)))
+        assert sys.getrecursionlimit() == 1234
     finally:
         sys.setrecursionlimit(limit)
 
@@ -435,7 +477,7 @@ def test_language_check_on_deep_formula():
         deep = Neg(deep) if i % 2 else And(q, deep)
     messages = []
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         for calc in (Calculus.SC, Calculus.LJP):
             try:
@@ -459,6 +501,28 @@ def test_tables_examples():
     t3 = Tables([p], require_t_or_f=True)
     assert not t3.refutes(seq([], Or(Neg(p), p)))
     assert t3.refutes(seq([], p))
+
+
+def test_tables_evaluate_deep_formula():
+    """tf evaluates a formula 5,000 levels deep under the default
+    recursion limit.  Each level keeps p's masks (~~X, p & X and X | p
+    all have X's), so the answer is known; an implication on top uses
+    the falsity clause too."""
+    deep = p
+    for i in range(5000):
+        deep = (lambda x: Neg(Neg(x)), lambda x: And(p, x), lambda x: Or(x, p))[i % 3](deep)
+    t = Tables([p, q])
+    (tp, fp), (tq, _) = t.tf(p), t.tf(q)
+    not_q = ~tq & t.full
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        masks = t.tf(Imp(q, deep)), t.tf(deep)
+    except RecursionError:
+        masks = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert masks == ((not_q | tp, not_q | fp), (tp, fp))
 
 
 def test_tables_never_refute_provable():

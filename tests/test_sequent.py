@@ -408,7 +408,7 @@ def test_proof_from_json_too_deep():
     leaf_ = '{"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}}'
     text = node * 3000 + leaf_ + "]}" * 3000
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # decide raises it for the whole process
+    sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         with pytest.raises(ValueError, match="nested too deeply"):
             proof_from_json(text)
