@@ -172,17 +172,13 @@ def cmd_matrix(args) -> int:
     cfg = _config(args)
     status = EXIT_OK
     mark = {Verdict.PROVABLE: "Y", Verdict.UNPROVABLE: "N", Verdict.RESOURCE_EXCEEDED: "T"}
-    for n, line in enumerate(lines, 1):
+    for line in lines:
         if not line:
             continue
         try:
             phi = parse(line)
             row = [show(phi)] + [mark[v] for v in separation_matrix([phi], cfg)[0].verdicts]
         except ParseError:
-            row = [line, "ERR", "ERR", "ERR", "ERR"]
-            status = EXIT_INPUT
-        except RecursionError:
-            print(f"error: line {n} is nested too deeply", file=sys.stderr)
             row = [line, "ERR", "ERR", "ERR", "ERR"]
             status = EXIT_INPUT
         writer.writerow(row)

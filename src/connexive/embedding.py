@@ -11,46 +11,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import And, Formula, Imp, Neg, Or, Var, has_primed
+from .formula import And, Formula, Imp, Neg, Or, Var, has_primed, pending
 from .prover import ProveResult, SearchConfig, decide
 from .sequent import Calculus, Sequent
 
 
 def translate_f(phi: Formula) -> Formula:
-    """f: ~-free image of phi over the primed/unprimed atom language."""
+    """f: ~-free image of phi over the primed/unprimed atom language.
+    Each subformula a gets the pair (f(a), f(~a)), parts first."""
     if has_primed(phi):
         raise ValueError("primed atom in embedding input")
-    return _f(phi, {})
-
-
-def _f(phi: Formula, memo: dict[Formula, Formula]) -> Formula:
-    hit = memo.get(phi)
-    if hit is not None:
-        return hit
-    if isinstance(phi, Var):
-        out = phi
-    elif isinstance(phi, And):
-        out = And(_f(phi.left, memo), _f(phi.right, memo))
-    elif isinstance(phi, Or):
-        out = Or(_f(phi.left, memo), _f(phi.right, memo))
-    elif isinstance(phi, Imp):
-        out = Imp(_f(phi.left, memo), _f(phi.right, memo))
-    else:
-        out = _f_neg(phi.body, memo)
-    memo[phi] = out
-    return out
-
-
-def _f_neg(body: Formula, memo: dict[Formula, Formula]) -> Formula:
-    if isinstance(body, Var):
-        return Var(body.name, True)
-    if isinstance(body, Neg):
-        return _f(body.body, memo)
-    if isinstance(body, And):
-        return Or(_f(Neg(body.left), memo), _f(Neg(body.right), memo))
-    if isinstance(body, Or):
-        return And(_f(Neg(body.left), memo), _f(Neg(body.right), memo))
-    return Imp(_f(body.left, memo), _f(Neg(body.right), memo))
+    image: dict[Formula, tuple[Formula, Formula]] = {}
+    for a in reversed(pending(phi, lambda a: False)):
+        if isinstance(a, Var):
+            image[a] = (a, Var(a.name, True))
+        elif isinstance(a, Neg):
+            pos, neg = image[a.body]
+            image[a] = (neg, pos)
+        else:
+            (fl, fnl), (fr, fnr) = image[a.left], image[a.right]
+            if isinstance(a, And):
+                image[a] = (And(fl, fr), Or(fnl, fnr))
+            elif isinstance(a, Or):
+                image[a] = (Or(fl, fr), And(fnl, fnr))
+            else:
+                image[a] = (Imp(fl, fr), Imp(fl, fnr))
+    return image[phi][0]
 
 
 def translate_sequent(s: Sequent) -> Sequent:

@@ -12,14 +12,19 @@ key() cost O(1) however deep it is.  The stored hash equals the hash of
 the tuple of the node's fields, e.g. hash(And(a, b)) == hash((a, b)),
 which is what a frozen dataclass computes: set and dict iteration order,
 and with it search order and proof output, do not depend on the stored
-hash being there.  Equality stays structural.
+hash being there.  The node classes are dataclasses built with eq=False,
+so they share Formula's __hash__ and its structural __eq__, which walks
+both formulas with its own stack.  The walks that build something per
+subformula (show, the translation f, the prover's tables) take their
+order from pending(), so no depth of formula overflows the interpreter's
+stack.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -47,21 +52,46 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        """Structural equality without recursion.  Parts that are one
+        object are equal without a look inside, and parts whose class or
+        stored hash differ are unequal; the walk goes down the left parts
+        and keeps the right ones on a list."""
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, Formula) else NotImplemented
+        a, b, todo = self, other, []
+        while True:
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            if cls is Var:
+                if a.name != b.name or a.primed != b.primed:
+                    return False
+            elif a._hash != b._hash:
+                return False
+            elif cls is Neg:
+                if a.body is not b.body:
+                    a, b = a.body, b.body
+                    continue
+            else:
+                if a.right is not b.right:
+                    todo.append((a.right, b.right))
+                if a.left is not b.left:
+                    a, b = a.left, b.left
+                    continue
+            if not todo:
+                return True
+            a, b = todo.pop()
+
     def __reduce__(self):
         # rebuilt by the constructor: a stored hash of str fields is only
         # valid in the process that computed it
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _node(cls):
-    """Frozen, slotted dataclass that keeps Formula.__hash__.  A frozen
-    dataclass writes a field-walking __hash__ into every class unless the
-    class body defines one, so it is put there first."""
-    cls.__hash__ = Formula.__hash__
-    return dataclass(frozen=True, slots=True)(cls)
-
-
-@_node
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Formula):
     name: str
     primed: bool = False
@@ -72,7 +102,7 @@ class Var(Formula):
         _set(self, "_hash", hash((self.name, self.primed)))
 
 
-@_node
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -81,7 +111,7 @@ class And(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@_node
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -90,7 +120,7 @@ class Or(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@_node
+@dataclass(frozen=True, slots=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
@@ -99,7 +129,7 @@ class Imp(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@_node
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Formula):
     body: Formula
 
@@ -139,53 +169,59 @@ def has_primed(phi: Formula) -> bool:
     return any(f.primed for f in atoms(phi))
 
 
+def pending(phi: Formula, known: Callable[[Formula], bool]) -> list[Formula]:
+    """phi and, below it, the parts that known rejects, one entry per
+    occurrence, each listed before its parts.  Walked in reverse, the
+    list gives every node after its parts, so a walk that builds a value
+    per subformula needs no recursion."""
+    order = [phi]
+    for f in order:
+        if isinstance(f, Neg):
+            if not known(f.body):
+                order.append(f.body)
+        elif not isinstance(f, Var):
+            if not known(f.left):
+                order.append(f.left)
+            if not known(f.right):
+                order.append(f.right)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Printing.  Precedence: ~ binds tightest, then &, then |, then ->.
 # -> is right-associative; & and | are left-associative.
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4
+_PREC = {Var: _PREC_NEG, Neg: _PREC_NEG, And: _PREC_AND, Or: _PREC_OR, Imp: _PREC_IMP}
 
 
 def show(phi: Formula) -> str:
     """Minimal-parenthesis rendering of a formula.  The text is stored on
-    the node the first time it is asked for."""
+    each node the first time it is asked for, parts first."""
     try:
         return phi._text
     except AttributeError:
-        text = _show(phi)
-        _set(phi, "_text", text)
-        return text
-
-
-def _show(phi: Formula) -> str:
-    if isinstance(phi, Var):
-        return phi.name + ("'" if phi.primed else "")
-    if isinstance(phi, Neg):
-        return "~" + _sub(phi.body, _PREC_NEG)
-    if isinstance(phi, And):
-        # left-associative: left child keeps &-chains unparenthesized
-        return _sub(phi.left, _PREC_AND) + " & " + _sub(phi.right, _PREC_AND + 1)
-    if isinstance(phi, Or):
-        return _sub(phi.left, _PREC_OR) + " | " + _sub(phi.right, _PREC_OR + 1)
-    if isinstance(phi, Imp):
-        # right-associative: right child keeps ->-chains unparenthesized
-        return _sub(phi.left, _PREC_IMP + 1) + " -> " + _sub(phi.right, _PREC_IMP)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _prec(phi: Formula) -> int:
-    if isinstance(phi, (Var, Neg)):
-        return _PREC_NEG
-    if isinstance(phi, And):
-        return _PREC_AND
-    if isinstance(phi, Or):
-        return _PREC_OR
-    return _PREC_IMP
+        pass
+    for f in reversed(pending(phi, lambda g: hasattr(g, "_text"))):
+        if isinstance(f, Var):
+            text = f.name + ("'" if f.primed else "")
+        elif isinstance(f, Neg):
+            text = "~" + _sub(f.body, _PREC_NEG)
+        elif isinstance(f, And):
+            # left-associative: left child keeps &-chains unparenthesized
+            text = _sub(f.left, _PREC_AND) + " & " + _sub(f.right, _PREC_AND + 1)
+        elif isinstance(f, Or):
+            text = _sub(f.left, _PREC_OR) + " | " + _sub(f.right, _PREC_OR + 1)
+        else:
+            # right-associative: right child keeps ->-chains unparenthesized
+            text = _sub(f.left, _PREC_IMP + 1) + " -> " + _sub(f.right, _PREC_IMP)
+        _set(f, "_text", text)
+    return phi._text
 
 
 def _sub(phi: Formula, need: int) -> str:
-    s = show(phi)
-    return s if _prec(phi) >= need else "(" + s + ")"
+    s = phi._text
+    return s if _PREC[type(phi)] >= need else "(" + s + ")"
 
 
 def key(phi: Formula) -> str:

@@ -53,7 +53,6 @@ in.  (Peirce) principals are built once per succedent.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
@@ -72,6 +71,7 @@ from .formula import (
     has_negation,
     has_primed,
     key,
+    pending,
     show,
 )
 from .sequent import (
@@ -179,11 +179,6 @@ def decide(
 
     t0 = time.perf_counter()
     search = _Search(calc, cfg, analysis)
-    limit = sys.getrecursionlimit()
-    if limit < 100_000:
-        # the search keeps its own stack, but show (for sort keys) and
-        # the dataclass Formula.__eq__ still recurse once per formula level
-        sys.setrecursionlimit(100_000)
     try:
         proof, _ = search.dfs(s, 0)
     except _BudgetExhausted:
@@ -191,8 +186,6 @@ def decide(
         return ProveResult(
             Verdict.RESOURCE_EXCEEDED, None, SearchStats(search.nodes, search.max_depth, wall)
         )
-    finally:
-        sys.setrecursionlimit(limit)  # the caller's limit, whatever the search did
     wall = time.perf_counter() - t0
     if proof is not None:
         rep = check_proof(calc, proof)
@@ -271,24 +264,13 @@ class Tables:
 
     def tf(self, phi: Formula) -> tuple[int, int]:
         """The (truth, falsity) masks of phi, memoized for every
-        subformula.  The subformulas not yet known are listed each before
-        its parts and evaluated in reverse, so no depth of formula can
-        overflow the interpreter's stack."""
+        subformula.  The subformulas not yet known are evaluated in the
+        reverse of their pending() order, parts first."""
         memo = self._memo
         hit = memo.get(phi)
         if hit is not None:
             return hit
-        order = [phi]
-        for f in order:
-            if isinstance(f, Neg):
-                if f.body not in memo:
-                    order.append(f.body)
-            elif not isinstance(f, Var):
-                if f.left not in memo:
-                    order.append(f.left)
-                if f.right not in memo:
-                    order.append(f.right)
-        for f in reversed(order):
+        for f in reversed(pending(phi, memo.__contains__)):
             if isinstance(f, Var):
                 i = self.index[f]
                 memo[f] = (self._bit[2 * i], self._bit[2 * i + 1])

@@ -212,8 +212,9 @@ def test_prove_deep_formula_is_input_error(capsys, goal):
 
 
 def test_deep_conjunction_chain_is_proved(capsys):
-    """decide's language check walks the goal with its own stack, so a
-    long & chain reaches the search, which raises the limit it needs."""
+    """decide's language check, its search and the formula walks keep
+    their own stacks, so a long & chain is proved under the default
+    limit."""
     chain = " & ".join(["p"] * 2000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
@@ -227,11 +228,14 @@ def test_deep_conjunction_chain_is_proved(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("matrix", "-"), ("transform", "translate", "{chain}")], ids=["matrix", "translate"]
+    "argv, last_line",
+    [(("matrix", "-"), "{chain},N,N,N,N"), (("transform", "translate", "{chain}"), "{chain}")],
+    ids=["matrix", "translate"],
 )
-def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
-    """A long & chain parses, since the parser loops over &, but the
-    walks after it recurse; running out of stack is an input error."""
+def test_deep_conjunction_chain_succeeds(capsys, monkeypatch, argv, last_line):
+    """A long & chain parses, since the parser loops over &, and the
+    walks after it keep their own stacks, so it is decided or translated
+    under the default limit."""
     import io
 
     chain = " & ".join(["p"] * 2000)
@@ -239,29 +243,29 @@ def test_deep_conjunction_chain_is_input_error(capsys, monkeypatch, argv):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
-        code, _, err = run(capsys, *(a.format(chain=chain) for a in argv))
+        code, out, err = run(capsys, *(a.format(chain=chain) for a in argv))
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2
-    assert "nested too deeply" in err
+    assert code == 0, err
+    assert out.splitlines()[-1] == last_line.format(chain=chain)
 
 
-def test_matrix_goes_on_after_a_line_nested_too_deeply(capsys, monkeypatch):
-    """A line whose walks overflow gets an ERR row, as a line that fails
-    to parse does, and the lines after it are still decided."""
+def test_matrix_goes_on_after_an_err_row(capsys, monkeypatch):
+    """A line that fails to parse gets an ERR row, and the lines after it
+    are still decided; a long & chain before it is decided under the
+    default limit."""
     import io
 
     chain = " & ".join(["p"] * 2000)
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{chain}\nq -> q\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{chain}\np & (q\nq -> q\n"))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
-        code, out, err = run(capsys, "matrix", "-")
+        code, out, _ = run(capsys, "matrix", "-")
     finally:
         sys.setrecursionlimit(limit)
     assert code == 2
-    assert out.splitlines()[1:] == [f"{chain},ERR,ERR,ERR,ERR", "q -> q,Y,Y,Y,Y"]
-    assert "error: line 1 is nested too deeply" in err
+    assert out.splitlines()[1:] == [f"{chain},N,N,N,N", "p & (q,ERR,ERR,ERR,ERR", "q -> q,Y,Y,Y,Y"]
 
 
 def test_shared_proof_file(capsys, tmp_path):

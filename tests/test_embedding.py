@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -68,3 +69,21 @@ def test_embed_check_cn_agreement():
     for _ in range(100):
         r = embed_check_cn(rand_sequent(rng, 7))
         assert r.agree, str(r.target_sequent)
+
+
+def test_translate_deep_formula():
+    """f keeps its own stack.  phi = ~(q -> ~(q -> ... ~(q -> p))) is
+    5,000 levels of ~(q -> .); since f(~(q -> X)) = q -> f(~X) and
+    f(~~Y) = f(Y), its image is q -> q -> ... -> p with 5,000 arrows."""
+    phi, image = p, p
+    for _ in range(5000):
+        phi, image = Neg(Imp(q, phi)), Imp(q, image)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        got = translate_f(phi) == image
+    except RecursionError:
+        got = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got is True

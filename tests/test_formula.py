@@ -17,6 +17,7 @@ from connexive.formula import (
     has_primed,
     key,
     parse,
+    pending,
     show,
     size,
     subformulas,
@@ -162,3 +163,61 @@ def test_key_is_show():
     for _ in range(300):
         phi = rand_formula(rng, 30)
         assert key(phi) == show(phi)
+
+
+def _deep(bottom):
+    phi = bottom
+    for i in range(5000):
+        phi = (lambda x: Neg(x), lambda x: Imp(q, x), lambda x: Or(x, r), lambda x: And(p, x))[i % 4](phi)
+    return phi
+
+
+def test_deep_formulas_compare_in_constant_depth():
+    """Equality keeps its own stack: separately built 5,000-deep
+    formulas compare equal, and unequal when only the deepest atom
+    differs."""
+    a, b, c = _deep(p), _deep(Var("p")), _deep(q)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        got = (a == b, a != b, a == c, a != c)
+    except RecursionError:
+        got = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a is not b and hash(a) == hash(b)
+    assert got == (True, False, False, True)
+
+
+def test_formula_is_not_equal_to_other_objects():
+    assert Var("p") != "p" and not Var("p") == "p"
+    assert And(p, q) != (p, q) and Neg(p) != None  # noqa: E711
+    assert Var("p") == Var("p") and Var("p") != Var("p", True)
+    assert And(p, q) != Or(p, q) and Imp(p, q) != Imp(q, p)
+
+
+def test_deep_formula_shows_and_parses_in_constant_depth():
+    """show keeps its own stack; a 5,000-long & chain also parses back,
+    since the parser loops over &."""
+    chain = Var("a0")
+    for i in range(1, 5000):
+        chain = And(chain, Var(f"a{i}"))
+    deep, text = p, "p"
+    for i in range(5000):
+        deep = Imp(q, deep) if i % 2 else Neg(deep)
+        text = f"q -> {text}" if i % 2 else (f"~({text})" if i else "~p")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        got = (show(chain), parse(show(chain)) == chain, show(deep))
+    except RecursionError:
+        got = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (" & ".join(f"a{i}" for i in range(5000)), True, text)
+
+
+def test_pending_lists_each_node_before_its_parts():
+    phi = Imp(And(p, q), Neg(p))
+    assert pending(phi, lambda f: False) == [phi, And(p, q), Neg(p), p, q, p]
+    assert pending(phi, {And(p, q)}.__contains__) == [phi, Neg(p), p]

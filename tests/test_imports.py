@@ -1,9 +1,9 @@
 """Each module of the package uses every name it imports, every private
 name it defines at module level is referred to somewhere in the package,
-and no module holds mutable state at its top level.  Checked on the
-syntax tree with the standard library, since no linter is a dependency;
-the import check leaves __init__.py out because it imports names to
-re-export them."""
+no module holds mutable state at its top level, and none sets the
+process recursion limit.  Checked on the syntax tree with the standard
+library, since no linter is a dependency; the import check leaves
+__init__.py out because it imports names to re-export them."""
 
 import ast
 from pathlib import Path
@@ -73,6 +73,18 @@ def module_level_state(source: str) -> list[str]:
     return sorted(found)
 
 
+def recursion_limit_calls(source: str) -> list[int]:
+    """The lines of source that call setrecursionlimit, as sys.x(...) or
+    as a bare name: a process-wide setting no library call should change."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+        == "setrecursionlimit"
+    ]
+
+
 def test_unused_imports_detected():
     assert unused_imports("import os\nimport a.b\nfrom x import y, z as w\nos.sep, w\n") == ["a", "y"]
 
@@ -110,5 +122,23 @@ def test_no_module_level_state():
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
         if (names := module_level_state(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_recursion_limit_calls_detected():
+    module = (
+        "import sys\nfrom sys import setrecursionlimit\n"
+        "sys.setrecursionlimit(10**5)\nsetrecursionlimit(2000)\nsys.getrecursionlimit()\n"
+        "def f():\n    sys.setrecursionlimit(1)\n"
+    )
+    assert recursion_limit_calls(module) == [3, 4, 7]
+
+
+def test_no_recursion_limit_calls():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := recursion_limit_calls(path.read_text()))
     }
     assert found == {}

@@ -406,8 +406,8 @@ def test_decide_keeps_nothing_between_calls():
 
 
 def test_decide_restores_the_recursion_limit():
-    """decide raises the recursion limit only while its search runs, and
-    leaves the caller's limit in place on every verdict."""
+    """decide leaves the caller's recursion limit in place on every
+    verdict."""
     peirce = seq([], Imp(Imp(Imp(q, p), q), q))
     cases = [
         (Calculus.SC, seq([], Imp(p, p)), SearchConfig(), Verdict.PROVABLE),
@@ -490,6 +490,49 @@ def test_language_check_on_deep_formula():
         sys.setrecursionlimit(limit)
     assert messages is not None, "the language check recursed"
     assert "primed atoms" in messages[0] and "connexive negation" in messages[1]
+
+
+# 20,000 levels: a comparison that recursed once per level would overflow the C stack
+_LONG_GOAL = """
+from connexive.formula import And, Var
+from connexive.prover import decide
+from connexive.sequent import Calculus, seq
+
+p = Var("p")
+chain = p
+for _ in range(19_999):
+    chain = And(chain, p)
+print(decide(Calculus.SC, seq([p], chain)).verdict.value)
+"""
+
+
+def test_decide_long_conjunction_goal():
+    """p => p & ... & p with 20,000 conjuncts is proved: the search
+    compares each premise's succedent with its node's, and the
+    comparison keeps its own stack."""
+    src = os.path.dirname(os.path.dirname(connexive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _LONG_GOAL], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["provable"]
+
+
+def test_conjunction_chain_proves_itself_under_default_limit():
+    """chain => chain with 2,000 conjuncts, the two sides built apart as
+    a parser builds them: the closure and the search compare them, and
+    the search sorts the context by its text, under the default limit."""
+    left, right = p, p
+    for _ in range(1999):
+        left, right = And(left, p), And(right, p)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        verdict = decide(Calculus.SC, seq([left], right)).verdict
+    except RecursionError:
+        verdict = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict is Verdict.PROVABLE
 
 
 def test_tables_examples():
