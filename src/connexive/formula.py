@@ -12,9 +12,10 @@ key() cost O(1) however deep it is.  The stored hash equals the hash of
 the tuple of the node's fields, e.g. hash(And(a, b)) == hash((a, b)),
 which is what a frozen dataclass computes: set and dict iteration order,
 and with it search order and proof output, do not depend on the stored
-hash being there.  The node classes are dataclasses built with eq=False,
-so they share Formula's __hash__ and its structural __eq__, which walks
-both formulas with its own stack.  The walks that build something per
+hash being there.  The node classes are dataclasses built with eq=False
+and repr=False, so they share Formula's __hash__, its structural __eq__,
+which walks both formulas with its own stack, and its __repr__, which
+gives the class name and the text.  The walks that build something per
 subformula (show, the translation f, the prover's tables) take their
 order from pending(), so no depth of formula overflows the interpreter's
 stack.
@@ -85,13 +86,16 @@ class Formula:
                 return True
             a, b = todo.pop()
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({show(self)!r})"
+
     def __reduce__(self):
         # rebuilt by the constructor: a stored hash of str fields is only
         # valid in the process that computed it
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Formula):
     name: str
     primed: bool = False
@@ -102,7 +106,7 @@ class Var(Formula):
         _set(self, "_hash", hash((self.name, self.primed)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -111,7 +115,7 @@ class And(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -120,7 +124,7 @@ class Or(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Imp(Formula):
     left: Formula
     right: Formula
@@ -129,7 +133,7 @@ class Imp(Formula):
         _set(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(Formula):
     body: Formula
 

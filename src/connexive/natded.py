@@ -598,15 +598,11 @@ def derivation_to_obj(d: Derivation) -> dict:
     return fold(d, combine)
 
 
-def derivation_from_obj(obj: dict) -> Derivation:
-    """Inverse of derivation_to_obj.  Malformed input raises ValueError."""
-    return _from_obj(obj, {})
-
-
 def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Derivation:
-    """derivation_from_obj, parsing each distinct formula text once:
-    formulas maps the texts read so far to their formulas, and every
-    occurrence of a text gets the same object."""
+    """Inverse of derivation_to_obj, parsing each distinct formula text
+    once: formulas maps the texts read so far to their formulas, and every
+    occurrence of a text gets the same object.  Malformed input raises
+    ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
     rule = NdRule(json_field(obj, "rule"))
@@ -669,6 +665,6 @@ def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
 
 def derivation_from_json(text: str) -> Derivation:
     try:
-        return derivation_from_obj(json.loads(text))
+        return _from_obj(json.loads(text), {})
     except RecursionError:
         raise ValueError("derivation file is nested too deeply") from None

@@ -484,12 +484,6 @@ def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
 # "premises": [indices of earlier nodes]}, so a shared subproof is one
 # entry that several nodes name.  With indent, a line holds one formula
 # or one node, at an indent that does not grow with the proof's depth.
-#
-# The reader also reads the older nested layout, in which a node is
-# {"rule", "sequent": {"ctx", "suc"}, "principal", "premises"} with the
-# formula texts in place, and a subproof already written in full is
-# written again as {"ref": k}, where k counts the full nodes in the order
-# they end (post-order).  A nested file without refs is a plain tree.
 
 def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
     """The proof in the table layout, written by one fold.  A context is
@@ -524,71 +518,40 @@ def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
     )
 
 
-class _ProofDecoder:
-    """The object hook of the one json.loads pass over a proof file.  It
-    builds a nested-layout node, one with a "sequent" or a "ref", as the
-    decoder finishes its object, innermost first, so the decoded object
-    tree is never held whole; that is also the order in which refs number
-    the nodes.  Every other object is left as it is: table() reads a file
-    of the table layout once it is decoded.  Each distinct formula text is
-    parsed once per file, and every occurrence of it gets the same object."""
+def proof_from_json(text: str) -> SequentProof:
+    """Inverse of proof_to_json, in one loop over the node list: a node or
+    formula that several nodes name by index is read as one object.  Every
+    index must be an int in range, and a premise must come before its
+    node.  Malformed input raises ValueError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("proof file is nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"proof file must be a JSON object with formulas and nodes, got {obj!r:.80}")
+    formulas = [_formula(t) for t in json_list(json_field(obj, "formulas"), "formulas")]
+    entries = json_list(json_field(obj, "nodes"), "nodes")
+    if not entries:
+        raise ValueError("nodes must not be empty: the root is the last node")
+    nodes: list[SequentProof] = []
+    for k, n in enumerate(entries):
+        if not isinstance(n, dict):
+            raise ValueError(f"node {k} must be a JSON object with a rule, got {n!r:.80}")
+        ctx = frozenset([_at(formulas, i, k, "formula") for i in json_list(json_field(n, "ctx"), "ctx")])
+        raw = n.get("principal")
+        nodes.append(SequentProof(
+            Sequent(ctx, _at(formulas, json_field(n, "suc"), k, "formula")),
+            Rule(json_field(n, "rule")),
+            None if raw is None else _at(formulas, raw, k, "formula"),
+            tuple([_at(nodes, i, k, "premise") for i in json_list(n.get("premises", []), "premises")]),
+        ))
+    return nodes[-1]
 
-    def __init__(self):
-        self.nested: list[SequentProof] = []
-        self.formulas: dict[str, Formula] = {}
 
-    def __call__(self, o: dict):
-        if "ref" in o:
-            k = o["ref"]
-            if type(k) is not int or not 0 <= k < len(self.nested):
-                raise ValueError(f"ref {k!r:.80} names no subproof read before it")
-            return self.nested[k]
-        if "sequent" not in o:
-            return o
-        conclusion = o["sequent"]
-        if isinstance(conclusion, dict):
-            ctx = map(self.formula, json_list(json_field(conclusion, "ctx"), "ctx"))
-            conclusion = seq(ctx, self.formula(json_field(conclusion, "suc")))
-        rule = Rule(json_field(o, "rule"))
-        if not isinstance(conclusion, Sequent):
-            raise ValueError("sequent must be a JSON object with ctx and suc")
-        raw = o.get("principal")
-        principal = None if raw is None else self.formula(raw)
-        premises = tuple(json_list(o.get("premises", []), "premises"))
-        for p in premises:
-            _require_node(p)
-        node = SequentProof(conclusion, rule, principal, premises)
-        self.nested.append(node)
-        return node
-
-    def formula(self, text) -> Formula:
-        if not isinstance(text, str):
-            raise ValueError(f"formula must be a string, got {text!r:.80}")
-        phi = self.formulas.get(text)
-        if phi is None:
-            phi = self.formulas[text] = parse(text, allow_primed=True)
-        return phi
-
-    def table(self, o: dict) -> SequentProof:
-        """The root of a file in the table layout.  Every index must be an
-        int in range, and a premise must come before its node."""
-        formulas = [self.formula(t) for t in json_list(json_field(o, "formulas"), "formulas")]
-        entries = json_list(json_field(o, "nodes"), "nodes")
-        if not entries:
-            raise ValueError("nodes must not be empty: the root is the last node")
-        nodes: list[SequentProof] = []
-        for k, n in enumerate(entries):
-            if not isinstance(n, dict):
-                raise ValueError(f"node {k} must be a JSON object with a rule, got {n!r:.80}")
-            ctx = frozenset([_at(formulas, i, k, "formula") for i in json_list(json_field(n, "ctx"), "ctx")])
-            raw = n.get("principal")
-            nodes.append(SequentProof(
-                Sequent(ctx, _at(formulas, json_field(n, "suc"), k, "formula")),
-                Rule(json_field(n, "rule")),
-                None if raw is None else _at(formulas, raw, k, "formula"),
-                tuple([_at(nodes, i, k, "premise") for i in json_list(n.get("premises", []), "premises")]),
-            ))
-        return nodes[-1]
+def _formula(text) -> Formula:
+    if not isinstance(text, str):
+        raise ValueError(f"formula must be a string, got {text!r:.80}")
+    return parse(text, allow_primed=True)
 
 
 def _at(table: list, i, k: int, what: str):
@@ -596,21 +559,3 @@ def _at(table: list, i, k: int, what: str):
     if type(i) is not int or not 0 <= i < len(table):
         raise ValueError(f"node {k} {what} index {i!r:.80} is not an integer in range({len(table)})")
     return table[i]
-
-
-def _require_node(value) -> SequentProof:
-    if not isinstance(value, SequentProof):
-        raise ValueError(f"proof node must be a JSON object with a rule, got {value!r:.80}")
-    return value
-
-
-def proof_from_json(text: str) -> SequentProof:
-    """Inverse of proof_to_json, for files of either layout: a node named
-    more than once, by index or by ref, is read as one object.  Malformed
-    input raises ValueError."""
-    decoder = _ProofDecoder()
-    try:
-        obj = json.loads(text, object_hook=decoder)
-        return decoder.table(obj) if isinstance(obj, dict) else _require_node(obj)
-    except RecursionError:
-        raise ValueError("proof file is nested too deeply") from None

@@ -64,8 +64,9 @@ def same_proof(a: SequentProof, b: SequentProof) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The nested proof layout, which proof files had before the formula table
-# and which proof_from_json still reads.
+# The nested proof layout, which proof files had before the formula table.
+# proof_from_json no longer reads it; it stays as the reference writer
+# whose output test_proof_json_digest_unchanged hashes.
 
 def reference_proof_to_obj(proof: SequentProof) -> dict:
     """A proof as an object of the nested layout: a node is {"rule",
@@ -119,6 +120,9 @@ MALFORMED_TABLE_FILES = [
     (_table_file([]), "nodes must not be empty"),
     (_table_file([_LEAF], formulas=["p &&"]), "expected"),
     (_table_file([_LEAF], formulas=[1]), "formula must be a string"),
+    (_table_file([{**_LEAF, "premises": 0}]), "premises must be a list"),
+    ({"formulas": "p", "nodes": [_LEAF]}, "formulas must be a list"),
+    (_table_file({}), "nodes must be a list"),
 ]
 
 

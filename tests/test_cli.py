@@ -10,7 +10,7 @@ from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
 from connexive.formula import Imp, Var
 
-from helpers import MALFORMED_TABLE_FILES, and_left_tower, shared_or_chain
+from helpers import MALFORMED_TABLE_FILES, and_left_tower, reference_proof_to_obj, shared_or_chain
 
 p, q = Var("p"), Var("q")
 
@@ -93,10 +93,10 @@ def test_check_rejects_principal_outside_context(capsys, monkeypatch):
     p & q: not a proof, and => p is unprovable."""
     import io
 
-    text = json.dumps({
-        "rule": "and_left", "sequent": {"ctx": [], "suc": "p"}, "principal": "p & q",
-        "premises": [{"rule": "init1", "sequent": {"ctx": ["p", "q"], "suc": "p"}, "principal": None, "premises": []}],
-    })
+    text = json.dumps({"formulas": ["p", "q", "p & q"], "nodes": [
+        {"rule": "init1", "ctx": [0, 1], "suc": 0, "principal": None, "premises": []},
+        {"rule": "and_left", "ctx": [], "suc": 0, "principal": 2, "premises": [0]},
+    ]})
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "check", "sc", "sc", "-")
     assert code == 1
@@ -110,10 +110,10 @@ def test_check_rejects_principal_on_right_rule(capsys, monkeypatch):
     principal q & q: a principal on those rules is not a proof field."""
     import io
 
-    text = json.dumps({
-        "rule": "imp_right", "sequent": {"ctx": [], "suc": "p -> p"}, "principal": "q & q",
-        "premises": [{"rule": "init1", "sequent": {"ctx": ["p"], "suc": "p"}, "principal": "q & q", "premises": []}],
-    })
+    text = json.dumps({"formulas": ["p", "q & q", "p -> p"], "nodes": [
+        {"rule": "init1", "ctx": [0], "suc": 0, "principal": 1, "premises": []},
+        {"rule": "imp_right", "ctx": [], "suc": 2, "principal": 1, "premises": [0]},
+    ]})
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "check", "sc", "sc", "-")
     assert code == 1
@@ -128,6 +128,24 @@ def test_check_malformed_table(capsys, monkeypatch, obj, message):
     code, out, err = run(capsys, "check", "sc", "sc", "-")
     assert code == 2
     assert out == "" and message in err
+
+
+def test_readme_proof_file(capsys, monkeypatch):
+    """connexive prove prints the proof file that README's "Proof files"
+    shows, and connexive check calls it valid."""
+    import io
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Proof files"):]
+    assert 'connexive prove sc "p & ~q -> p"' in section
+    shown = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    code, out, _ = run(capsys, "prove", "sc", "p & ~q -> p")
+    assert code == 0 and out == shown
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "check", "sc", "sc", "-")
+    assert code == 0 and out.strip() == "valid"
 
 
 def test_check_deep_proof(capsys, tmp_path):
@@ -156,6 +174,7 @@ def test_check_malformed_json(capsys, tmp_path):
         "[1]",
         '{"rule": "init1", "sequent": {"ctx": "p", "suc": "p"}, "premises": []}',
         '{"ref": 0}',
+        pytest.param(json.dumps(reference_proof_to_obj(shared_or_chain(3))), id="nested-layout"),
     ],
 )
 def test_check_malformed_proof(capsys, monkeypatch, text):
@@ -307,9 +326,9 @@ def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
     re-derive its conclusion in their starred calculi: an (init1) leaf
     is no proof of q => p -> p, though q => p -> p is provable."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(
-        {"rule": "init1", "sequent": {"ctx": ["q"], "suc": "p -> p"}, "principal": None, "premises": []}
-    ))
+    path.write_text(json.dumps({"formulas": ["q", "p -> p"], "nodes": [
+        {"rule": "init1", "ctx": [0], "suc": 1, "principal": None, "premises": []},
+    ]}))
     code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", calculus)
     assert code == 1
     assert out == "" and "init1 succedent must be an atom" in err

@@ -217,6 +217,25 @@ def test_deep_formula_shows_and_parses_in_constant_depth():
     assert got == (" & ".join(f"a{i}" for i in range(5000)), True, text)
 
 
+def test_repr_is_class_and_text_in_constant_depth():
+    """A formula's repr is its class and its text, so a failing assertion
+    on a deep formula can be printed."""
+    assert repr(Imp(And(p, Neg(q)), p)) == "Imp('p & ~q -> p')"
+    assert repr(Var("p", True)) == "Var(\"p'\")"
+    deep = p
+    for i in range(5000):
+        deep = Imp(q, deep) if i % 2 else Neg(deep)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        got = repr(deep)
+    except RecursionError:
+        got = None  # not re-raised: pytest's report of it runs to gigabytes
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == f"Imp({show(deep)!r})"
+
+
 def test_pending_lists_each_node_before_its_parts():
     phi = Imp(And(p, q), Neg(p))
     assert pending(phi, lambda f: False) == [phi, And(p, q), Neg(p), p, q, p]
