@@ -36,7 +36,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import Formula, Imp, Neg, Var, parse, show
-from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule
+from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule, same_dag
 
 
 class NdSystem(str, Enum):
@@ -127,13 +127,30 @@ _ELIMS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
+    """A derivation node.  Equality is that of the derivations as trees,
+    decided without recursion (sequent.same_dag); the hash and repr read
+    the node alone."""
+
     rule: NdRule
     formula: Formula
     premises: tuple["Derivation", ...] = ()
     discharge: int | None = None  # label this node discharges
     label: int | None = None  # assumption leaves only: binding label
+
+    def own(self) -> tuple:
+        """What the node holds besides its premises."""
+        return self.rule, self.formula, self.discharge, self.label
+
+    def __eq__(self, other) -> bool:
+        return same_dag(self, other)
+
+    def __hash__(self) -> int:
+        return hash((*self.own(), len(self.premises)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({show(self.formula)!r})"
 
     def node_count(self) -> int:
         return fold(self, lambda _, subs: 1 + sum(subs))

@@ -22,14 +22,23 @@ subtree is skipped.  The filter only removes unprovable nodes, so
 completeness is untouched; its rule-wise soundness is property-tested.
 
 What no rule changes is computed once per goal (_Analysis): the
-language check, the universe, its sorted order, and the tables' masks.
-Calculi of one language share it: separation_matrix analyses each row
-once for its four calculi, and a starred calculus hands its analysis to
-the unstarred search.  It holds only what the goal determines, so
-sharing it moves no verdict, proof or node count.  An always-on guard
-keeps every node's formulas in the universe: the goal's formulas are
-checked once, and then each rule instance's added formulas and
-succedent, since a premise inherits the rest from its node.
+language check, the tables' masks, the universe and its sorted order.
+The tables are built from the goal's atoms, and the universe only when
+a search first builds a rule instance, so a goal whose root the tables
+refute costs no closure.  Calculi of one language share the analysis:
+separation_matrix analyses each row once for its calculi, and a starred
+calculus hands its analysis to the unstarred search.  It holds only
+what the goal determines, so sharing it moves no verdict, proof or node
+count.  An always-on guard keeps every node's formulas in the universe:
+the goal's formulas are checked when it is built, and then each rule
+instance's added formulas and succedent, since a premise inherits the
+rest from its node.
+
+separation_matrix decides a row along the inclusions of the calculi's
+rule sets: a proof in a calculus is one in every calculus with more
+rules, and a negative holds in every calculus with fewer, so a row that
+is unprovable throughout costs two searches and one that is provable
+throughout costs one.  Each search it runs is an ordinary decide call.
 
 Rule premises come from sequent.SCHEMAS, the table the checker reads;
 the search only chooses which rules to try, by the shape of the formula
@@ -66,10 +75,10 @@ from .formula import (
     Neg,
     Or,
     Var,
+    atoms,
     closure,
     closure_set,
     has_negation,
-    has_primed,
     key,
     pending,
     show,
@@ -310,23 +319,36 @@ _NO_DEP = 1 << 60  # failure consulted no branch ancestor
 
 class _Analysis:
     """What a search needs that depends only on the goal and its
-    language: the language check, the universe, its sorted order, and
-    the Tables masks and memo.  It also checks the goal's own formulas
-    against the universe, the root of _Search._emit's guard.  Calculi
-    with one universe share it, each with its own Tables.allowed."""
+    language: the language check, the Tables masks and memo, the
+    universe and its sorted order.  Calculi with one universe share it,
+    each with its own Tables.allowed.  The tables are built from the
+    goal's atoms, so the universe waits until a search needs it."""
 
     def __init__(self, calc: Calculus, goal: Sequent):
         formulas = (*goal.ctx, goal.suc)
+        found = set().union(*map(atoms, formulas))
         if calc in CONNEXIVE_CALCULI:
-            if any(has_primed(f) for f in formulas):
+            if any(a.primed for a in found):
                 raise ValueError("primed atoms belong to the positive language only")
         elif any(has_negation(f) for f in formulas):
             raise ValueError(f"connexive negation is outside the language of {calc.value}")
-        self.universe = _Search._build_universe(calc, goal)
-        for f in formulas:
-            if not self.covered(f):
+        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
+            # the primed partners that _build_universe adds
+            found |= {Var(a.name, True) for a in found if not a.primed}
+        self.calc, self.goal = calc, goal
+        self.tables = Tables(list(found))
+
+    @cached_property
+    def universe(self) -> frozenset[Formula]:
+        """The goal's closure, built when a search first builds a rule
+        instance, so a goal whose root the tables refute never builds
+        it.  The goal's own formulas are checked against it here, the
+        root of _Search._emit's guard."""
+        universe = _Search._build_universe(self.calc, self.goal)
+        for f in (*self.goal.ctx, self.goal.suc):
+            if not _covered(universe, f):
                 raise RuntimeError(f"proof search left its universe: {show(f)}")
-        self.tables = Tables([a for a in self.universe if isinstance(a, Var)])
+        return universe
 
     @cached_property
     def ordered(self) -> tuple[list[Formula], list[Var]]:
@@ -335,15 +357,16 @@ class _Analysis:
         uni = sorted(self.universe, key=key)
         return uni, [p for p in uni if isinstance(p, Var) and not p.primed]
 
-    def covered(self, f: Formula) -> bool:
-        """Universe membership modulo leading double negations: the
-        universe truncates ~~~ chains because (neg left)/(neg right)
-        peel them off immediately."""
-        while isinstance(f, Neg) and isinstance(f.body, Neg) and f not in self.universe:
-            f = f.body.body
-        if f in self.universe:
-            return True
-        return isinstance(f, Imp) and f.left in self.universe and f.right in self.universe
+
+def _covered(universe: frozenset[Formula], f: Formula) -> bool:
+    """Universe membership modulo leading double negations: the universe
+    truncates ~~~ chains because (neg left)/(neg right) peel them off
+    immediately."""
+    while isinstance(f, Neg) and isinstance(f.body, Neg) and f not in universe:
+        f = f.body.body
+    if f in universe:
+        return True
+    return isinstance(f, Imp) and f.left in universe and f.right in universe
 
 
 def _live(cand, ctx: frozenset[Formula]) -> bool:
@@ -606,7 +629,7 @@ class _Search:
 
         The guard, always on, keeps this invariant: every formula of every
         node is covered by the universe.  The root's formulas were checked
-        when the analysis was built, and a premise is s's context plus the
+        when the universe was built, and a premise is s's context plus the
         formulas its spec adds, with the spec's succedent; so checking just
         those keeps it, and the first formula outside the universe raises
         at the instance that adds it."""
@@ -615,10 +638,10 @@ class _Search:
         for a, g in specs:
             if g == suc and ctx.issuperset(a):
                 return None
-        covered = self.analysis.covered
+        universe = self.analysis.universe
         for a, g in specs:
             for f in (*a, g):
-                if not covered(f):
+                if not _covered(universe, f):
                     raise RuntimeError(f"proof search left its universe: {show(f)}")
         return rule, principal, specs
 
@@ -646,6 +669,9 @@ def _rederive(calc: Calculus, s: Sequent, cfg: SearchConfig | None) -> SequentPr
 
 
 _MATRIX_CALCULI = (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN)
+# the order separation_matrix decides a row's cells in: the calculus with
+# the fewest rules, then the one with the most, then the two between
+_MATRIX_ORDER = (Calculus.SC, Calculus.SCN, Calculus.SC3, Calculus.SMC)
 
 
 @dataclass(frozen=True)
@@ -660,11 +686,38 @@ class MatrixRow:
 def separation_matrix(formulas, cfg: SearchConfig | None = None) -> list[MatrixRow]:
     """decide verdict for each formula across sC, sC3, sMC, sCN.  The
     four calculi share one language and universe, so each row is analysed
-    once (_Analysis) and searched four times."""
+    once (_Analysis).  The rows are decided along the inclusions of the
+    calculi's rule sets: sC first, then sCN, then whichever of sC3 and
+    sMC is still open.  A proof in one calculus is a proof in every
+    calculus with more rules, and a definite negative holds in every
+    calculus with fewer, so each definite verdict settles those cells
+    without a search.  A row costs two searches if it is unprovable
+    throughout, one if it is provable throughout, and at most four.
+    Under a node budget, a cell whose own search would run out may
+    instead be settled by another calculus's definite verdict; a
+    resource-exceeded verdict settles nothing."""
     rows = []
     for phi in formulas:
         s = Sequent(frozenset(), phi)
         analysis = _Analysis(_MATRIX_CALCULI[0], s)
-        verdicts = tuple(decide(c, s, cfg, analysis).verdict for c in _MATRIX_CALCULI)
-        rows.append(MatrixRow(phi, verdicts))
+        cells: dict[Calculus, Verdict] = {}
+        for c in _MATRIX_ORDER:
+            if c in cells:
+                continue
+            verdict = cells[c] = decide(c, s, cfg, analysis).verdict
+            for d in _MATRIX_CALCULI:
+                if d not in cells and _settles(c, verdict, d):
+                    cells[d] = verdict
+        rows.append(MatrixRow(phi, tuple(cells[c] for c in _MATRIX_CALCULI)))
     return rows
+
+
+def _settles(c: Calculus, verdict: Verdict, d: Calculus) -> bool:
+    """Whether verdict in calculus c is also d's, read off the rule sets:
+    a proof in c uses only rules of d when d has all of c's, and a search
+    that fails in c fails in d when c has all of d's rules."""
+    if verdict is Verdict.PROVABLE:
+        return RULES_OF[c] <= RULES_OF[d]
+    if verdict is Verdict.UNPROVABLE:
+        return RULES_OF[d] <= RULES_OF[c]
+    return False

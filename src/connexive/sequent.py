@@ -224,15 +224,30 @@ def parse_sequent(text: str, allow_primed: bool = False) -> Sequent:
     return seq([], parse(text, allow_primed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SequentProof:
     """A proof node.  Premises may be shared, so a proof is a DAG; walk it
-    with fold, which visits each node object once."""
+    with fold, which visits each node object once.  Equality is that of
+    the proofs as trees, decided on the DAGs (same_dag); the hash and
+    repr read the node alone."""
 
     conclusion: Sequent
     rule: Rule
     principal: Formula | None = None
     premises: tuple["SequentProof", ...] = ()
+
+    def own(self) -> tuple:
+        """What the node holds besides its premises."""
+        return self.conclusion, self.rule, self.principal
+
+    def __eq__(self, other) -> bool:
+        return same_dag(self, other)
+
+    def __hash__(self) -> int:
+        return hash((*self.own(), len(self.premises)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self.conclusion)!r})"
 
     def is_cut_free(self) -> bool:
         # a cut at the root settles it without a walk
@@ -248,6 +263,31 @@ class SequentProof:
 
 
 T = TypeVar("T")
+
+
+def same_dag(a, b) -> bool:
+    """Whether two proof nodes are equal as trees: of one class, with
+    equal own() and pairwise equal premises.  NotImplemented when b is
+    of another class.  The walk keeps its own stack.  It looks into a
+    pair of nodes once however often the pair recurs, and not at all
+    when the two are one object, so two equal proofs shared alike
+    compare in time linear in their distinct nodes."""
+    if type(b) is not type(a):
+        return NotImplemented
+    if a is b:
+        return True
+    seen: set[tuple[int, int]] = set()
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b) or len(a.premises) != len(b.premises) or a.own() != b.own():
+            return False
+        for x, y in zip(a.premises, b.premises):
+            pair = (id(x), id(y))
+            if x is not y and pair not in seen:
+                seen.add(pair)
+                todo.append((x, y))
+    return True
 
 
 def fold(proof: SequentProof, combine: Callable[[SequentProof, list[T]], T]) -> T:

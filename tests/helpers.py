@@ -16,7 +16,7 @@ from connexive.natded import (
     open_assumptions,
     replace_at,
 )
-from connexive.sequent import Rule, Sequent, SequentProof, seq
+from connexive.sequent import CONNEXIVE_CALCULI, Rule, Sequent, SequentProof, fold, seq
 
 ATOMS = (Var("p"), Var("q"), Var("r"))
 
@@ -375,6 +375,56 @@ def mutated_derivations(rng: random.Random, count: int):
         for _ in range(rng.randint(0, 3)):
             d = mutate(rng, d)
         yield sys_id, d
+
+
+def mutate_proof(rng: random.Random, proof: SequentProof) -> SequentProof:
+    """proof with one distinct node changed, in every place it is shared:
+    its rule swapped for another, a premise dropped, a context formula of
+    its conclusion replaced, or its principal replaced."""
+    nodes = []
+    fold(proof, lambda node, subs: nodes.append(node))
+    kind = rng.randrange(4) if proof.premises else rng.choice((0, 2, 3))
+    target = rng.choice([node for node in nodes if node.premises or kind != 1])
+    if kind == 2:
+        ctx = target.conclusion.sorted_ctx()
+        if ctx:
+            ctx[rng.randrange(len(ctx))] = rand_formula(rng, 3)
+        else:
+            ctx = [rand_formula(rng, 3)]
+        new_ctx = frozenset(ctx)
+    replacement = rand_formula(rng, 3) if kind == 3 else None
+    swapped = rng.choice([rule for rule in Rule if rule is not target.rule]) if kind == 0 else None
+    dropped = rng.randrange(len(target.premises)) if kind == 1 else None
+
+    def combine(node: SequentProof, subs: list[SequentProof]) -> SequentProof:
+        conclusion, rule, principal = node.conclusion, node.rule, node.principal
+        if node is target:
+            if kind == 0:
+                rule = swapped
+            elif kind == 1:
+                del subs[dropped]
+            elif kind == 2:
+                conclusion = Sequent(new_ctx, conclusion.suc)
+            elif kind == 3:
+                principal = replacement
+        return SequentProof(conclusion, rule, principal, tuple(subs))
+
+    return fold(proof, combine)
+
+
+def mutated_proofs(rng: random.Random, count: int):
+    """count pairs (calculus, proof): the proof decide finds for a random
+    provable sequent, after one mutation (mutate_proof)."""
+    from connexive.prover import Verdict, decide
+
+    calculi = sorted(CONNEXIVE_CALCULI)
+    made = 0
+    while made < count:
+        calc = calculi[made % len(calculi)]
+        res = decide(calc, rand_sequent(rng, 8))
+        if res.verdict is Verdict.PROVABLE:
+            made += 1
+            yield calc, mutate_proof(rng, res.proof)
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,29 @@ def or_e_chain(n, node=Derivation):
     return d
 
 
+def test_deep_derivations_compare_hash_and_repr():
+    """Two separately built 3,000-level derivations compare, hash and
+    repr under the interpreter's default recursion limit; a change at
+    the bottom makes them unequal."""
+    n = 3000
+    a, b = or_e_chain(n), or_e_chain(n)
+    path, node = [], b
+    while node.rule is NdRule.OR_E:
+        path.append(node)
+        node = node.premises[1]
+    changed = Derivation(node.rule, q, node.premises)
+    for n_ in reversed(path):
+        changed = Derivation(n_.rule, n_.formula, (n_.premises[0], changed, n_.premises[2]), n_.discharge)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert a == b and hash(a) == hash(b)
+        assert a != changed and hash(a) == hash(changed)
+        assert repr(a) == "Derivation('p')"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_natded_walks_are_linear():
     for n in (500, 1000):
         d = or_e_chain(n, _Counted)

@@ -77,15 +77,33 @@ def test_separation_matrix_cells():
     assert rows[0].cells()[Calculus.SC3] is Verdict.PROVABLE
 
 
+def _lattice_searches(verdicts: dict) -> list:
+    """The calculi separation_matrix searches for a row with these
+    verdicts, with the inclusions written out: sC first; sCN unless sC
+    proves it; sC3 and sMC unless sC proves it or sCN refutes it."""
+    if verdicts[Calculus.SC] is Verdict.PROVABLE:
+        return [Calculus.SC]
+    if verdicts[Calculus.SCN] is Verdict.UNPROVABLE:
+        return [Calculus.SC, Calculus.SCN]
+    return [Calculus.SC, Calculus.SCN, Calculus.SC3, Calculus.SMC]
+
+
+def _root_refuted(calc, s) -> bool:
+    """Whether the four-valued tables refute s itself in calc."""
+    found = set().union(*map(atoms, (*s.ctx, s.suc)))
+    return Tables(list(found), Rule.EX_MIDDLE in RULES_OF[calc]).refutes(s)
+
+
 def test_separation_matrix_analyses_each_row_once(monkeypatch):
-    """One closure per row, shared by the four calculi; each calculus still
-    gets the verdict and searches the nodes an independent decide does."""
+    """Every cell is an independent decide's verdict; the searches the
+    matrix runs are those the rule-set lattice leaves open, each expanding
+    the nodes an independent decide does; and a row builds at most one
+    closure, none when every search it runs refutes its root."""
     import connexive.prover as prover
 
     rng = random.Random(31)
     formulas = [rand_formula(rng, 10) for _ in range(300)]
     calculi = [Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN]
-    alone = [(c, decide(c, seq([], phi))) for phi in formulas for c in calculi]
     closure, decide_ = prover.closure, prover.decide
     closures, shared = [], []
 
@@ -99,12 +117,58 @@ def test_separation_matrix_analyses_each_row_once(monkeypatch):
 
     monkeypatch.setattr(prover, "closure", count_closure)
     monkeypatch.setattr(prover, "decide", record_decide)
-    rows = separation_matrix(formulas)
-    assert len(closures) == len(formulas)
-    assert [v for row in rows for v in row.verdicts] == [res.verdict for _, res in alone]
-    assert [(c, res.stats.nodes_expanded) for c, res in shared] == [
-        (c, res.stats.nodes_expanded) for c, res in alone
-    ]
+    lazy_rows = 0
+    for phi in formulas:
+        alone = {c: decide_(c, seq([], phi)) for c in calculi}
+        closures.clear()
+        shared.clear()
+        (row,) = separation_matrix([phi])
+        assert row.verdicts == tuple(alone[c].verdict for c in calculi)
+        assert [c for c, _ in shared] == _lattice_searches({c: res.verdict for c, res in alone.items()})
+        assert [res.stats.nodes_expanded for _, res in shared] == [
+            alone[c].stats.nodes_expanded for c, _ in shared
+        ]
+        assert len(closures) <= 1
+        if all(_root_refuted(c, seq([], phi)) for c, _ in shared):
+            assert not closures
+            lazy_rows += 1
+    assert lazy_rows > len(formulas) // 2
+
+
+def test_matrix_lattice_inclusions_hold():
+    """The inclusions separation_matrix settles cells by hold in RULES_OF:
+    sC is below every calculus of the matrix, sCN above every one, and
+    sC3 and sMC lie between them, neither below the other."""
+    sc, sc3, smc, scn = (RULES_OF[c] for c in (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN))
+    assert sc < sc3 < scn and sc < smc < scn
+    assert not sc3 <= smc and not smc <= sc3
+
+
+def test_root_refuted_goal_builds_no_closure(monkeypatch):
+    """decide on a goal whose root the tables refute builds no universe,
+    with the verdict and search figures it had when it built one; a goal
+    the search expands builds exactly one."""
+    import connexive.prover as prover
+
+    closure, closures = prover.closure, []
+
+    def count_closure(*args, **kwargs):
+        closures.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(prover, "closure", count_closure)
+    for calc, text in [(Calculus.SC, "~p | p"), (Calculus.SMC, "~p | p"), (Calculus.SCN, "p, ~p => q"),
+                       (Calculus.SMC_STAR, "p => q"), (Calculus.LJP, "p => q")]:
+        s = parse_sequent(text)
+        assert _root_refuted(calc, s)
+        res = decide(calc, s)
+        assert (res.verdict, res.proof, res.stats.nodes_expanded, res.stats.max_depth) == (
+            Verdict.UNPROVABLE, None, 1, 0
+        ), text
+        assert not closures, text
+    res = decide(Calculus.SC, seq([], PEIRCE))
+    assert res.verdict is Verdict.UNPROVABLE and res.stats.nodes_expanded > 1
+    assert len(closures) == 1
 
 
 def test_positive_fragment():

@@ -31,6 +31,7 @@ from connexive.prover import SearchConfig, decide
 from helpers import (
     MALFORMED_TABLE_FILES,
     and_left_tower,
+    mutated_proofs,
     rand_formula,
     reference_proof_to_obj,
     same_proof,
@@ -259,6 +260,46 @@ def test_fold_visits_shared_nodes_once():
     assert chain.depth() == 41
     assert chain.is_cut_free()
     assert check_proof(Calculus.SC, chain).ok
+
+
+def test_shared_proofs_compare_in_linear_time():
+    """Two separately built proofs, each sharing one premise object per
+    level, are equal without expanding their 2^41-node trees; another
+    rule at the leaf makes them unequal; the hash and repr read the root
+    alone."""
+    import time
+
+    a, b = shared_or_chain(40), shared_or_chain(40)
+    t0 = time.perf_counter()
+    assert a == b and not a != b
+    assert time.perf_counter() - t0 < 1.0
+    assert hash(a) == hash(b)
+    assert repr(a) == f"SequentProof({str(a.conclusion)!r})"
+    path, node = [], b
+    while node.premises:
+        path.append(node)
+        node = node.premises[0]
+    changed = SequentProof(node.conclusion, Rule.INIT2)
+    for n in reversed(path):
+        changed = SequentProof(n.conclusion, n.rule, n.principal, (changed, changed))
+    assert a != changed and changed != a
+    assert a != a.conclusion
+
+
+def test_proof_check_report_digest_unchanged():
+    """check_proof's reports (verdict, path, rule, reason) on prover
+    proofs with one seeded fault each (a swapped rule, a dropped premise,
+    a changed context formula or a changed principal) hash to the digest
+    this same loop gives on commit 2ea3f24, under PYTHONHASHSEEDs 0, 1
+    and 123 alike.  It guards the checker's reports through any later
+    change to how proofs are certified."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for calc, proof in mutated_proofs(random.Random(67), 600):
+        rep = check_proof(calc, proof)
+        digest.update(repr((rep.ok, rep.path, rep.rule, rep.reason)).encode())
+    assert digest.hexdigest() == "edf79dae45160ff59415ecb5c3eb852a367aedc9d98e8a9886c964efbd925bac"
 
 
 def test_check_proof_path_into_shared_dag():
