@@ -3,9 +3,11 @@ calculus, and the roundtrip normalizer.
 
 Both translations work top-down and carry the assumptions in scope down
 the tree, as the textbook translations do (Troelstra & Schwichtenberg,
-Basic Proof Theory, 2nd ed., 3.3), so each node is built once.  Neither
-has a rule table of its own: each reads natded.SC_RULE, one way or the
-other, and builds premises from the paired rule's sequent.SCHEMAS entry.
+Basic Proof Theory, 2nd ed., 3.3), so each node is built once.  Both
+are written as recursions that sequent.recurse runs on its own stack, so
+no depth of input overflows the interpreter's.  Neither has a rule table
+of its own: each reads natded.SC_RULE, one way or the other, and builds
+premises from the paired rule's sequent.SCHEMAS entry.
 
 nd_to_sc proves oa(D) => end(D), and every subderivation from the
 assumptions in scope at it: a discharging rule hands its premises that
@@ -24,6 +26,8 @@ takes one as its major premise, so no maximum formula can arise.
 """
 
 from __future__ import annotations
+
+from typing import Generator
 
 from .checking import InvalidProof
 from .formula import Formula, show
@@ -54,8 +58,9 @@ from .sequent import (
     Rule,
     Sequent,
     SequentProof,
+    _identity,
     check_proof,
-    identity_proof,
+    recurse,
     seq,
 )
 
@@ -73,7 +78,7 @@ def nd_to_sc(sys_id: NdSystem, d: Derivation) -> SequentProof:
     require_valid(sys_id, d)
     calc = PAIRED_CALCULUS[sys_id]
     target = open_assumptions(d)
-    proof = _to_sc(calc, d, target, discharged_leaves(d))
+    proof = recurse(_to_sc(d, target, discharged_leaves(d)))
     rep = check_proof(calc, proof)
     if not rep.ok:
         raise InvalidProof(rep)
@@ -89,21 +94,24 @@ def _cut(p1: SequentProof, p2: SequentProof) -> SequentProof:
     return SequentProof(Sequent(ctx, p2.conclusion.suc), Rule.CUT, cutf, (p1, p2))
 
 
-def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula], discharged) -> SequentProof:
+def _to_sc(d: Derivation, ctx: frozenset[Formula], discharged) -> Generator:
     """Proof of ctx => d.formula, where ctx holds the assumptions in scope
-    at d; discharged is discharged_leaves of the whole derivation."""
+    at d; discharged is discharged_leaves of the whole derivation.  The
+    paired calculi are all connexive, so _identity needs no language check."""
     r, g = d.rule, d.formula
     if r is NdRule.ASSUMPTION:
-        return identity_proof(calc, g, ctx)
+        return (yield _identity(g, ctx))
     rule = SC_RULE[r]
     if rule in _ELIMS:
         # a left rule over identity leaves; the major premise, then the
         # minor one of ->E and ∼->E, is cut in below it
         major, minors = d.premises[0].formula, d.premises[1:]
-        leaves = tuple(identity_proof(calc, s, added) for added, s in SCHEMAS[rule](g, major))
-        proof = SequentProof(seq([major, *(m.formula for m in minors)], g), rule, major, leaves)
+        leaves = []
+        for added, s in SCHEMAS[rule](g, major):
+            leaves.append((yield _identity(s, frozenset(added))))
+        proof = SequentProof(seq([major, *(m.formula for m in minors)], g), rule, major, tuple(leaves))
         for prem in d.premises:
-            proof = _cut(_to_sc(calc, prem, ctx, discharged), proof)
+            proof = _cut((yield _to_sc(prem, ctx, discharged)), proof)
         return proof
     hyps = d.premises
     if r in INTRO_RULES:
@@ -112,13 +120,13 @@ def _to_sc(calc: Calculus, d: Derivation, ctx: frozenset[Formula], discharged) -
     else:
         # or_E, neg_and_E: the minor premises are the left rule's premises
         inst, hyps = hyps[0].formula, hyps[1:]
-    subs = []  # a plain loop keeps one interpreter frame per level of d
+    subs = []
     for h, (added, _) in zip(hyps, SCHEMAS[rule](g, inst)):
-        subs.append(_to_sc(calc, h, ctx.union(added), discharged))
+        subs.append((yield _to_sc(h, ctx.union(added), discharged)))
     if r in INTRO_RULES:
         return SequentProof(Sequent(ctx, g), rule, inst, tuple(subs))
     left = SequentProof(Sequent(ctx | {inst}, g), rule, inst, tuple(subs))
-    return _cut(_to_sc(calc, d.premises[0], ctx, discharged), left)
+    return _cut((yield _to_sc(d.premises[0], ctx, discharged)), left)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +171,7 @@ def _sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None) -> Deri
             f"sc_to_nd: proof expands to {size} tree nodes, over the node budget of {budget}",
         )
     sys_id = PAIRED_SYSTEM[calc]
-    d = _to_nd(p, {f: assumption(f) for f in p.conclusion.ctx}, [1])
+    d = recurse(_to_nd(p, {f: assumption(f) for f in p.conclusion.ctx}, [1]))
     rep = check_derivation(sys_id, d)
     if not rep.ok:
         raise InvalidProof(rep)
@@ -186,7 +194,7 @@ def _copy(d: Derivation, counter: list[int]) -> Derivation:
     return out
 
 
-def _to_nd(p: SequentProof, env: dict[Formula, Derivation], counter: list[int]) -> Derivation:
+def _to_nd(p: SequentProof, env: dict[Formula, Derivation], counter: list[int]) -> Generator:
     """Derivation of p's succedent from env[f] for each f in p's context.
     A value of env may sit raw inside another value; only where a value
     enters the derivation is it copied, so each use has its own labels."""
@@ -196,12 +204,12 @@ def _to_nd(p: SequentProof, env: dict[Formula, Derivation], counter: list[int]) 
     specs = SCHEMAS[r](g, phi)
     if r in _ELIMS:
         # the first premise of -> and ∼-> left is the elimination's minor
-        minors = [_to_nd(p.premises[0], env, counter)] if len(p.premises) == 2 else []
+        minors = [(yield _to_nd(p.premises[0], env, counter))] if len(p.premises) == 2 else []
         elims: dict[Formula, Derivation] = {}
         for f, rule in zip(specs[-1][0], _ELIMS[r]):
             # in p & p both components are one formula: the first rule derives it
             elims.setdefault(f, Derivation(rule, f, (env[phi], *minors)))
-        return _to_nd(p.premises[-1], {**env, **elims}, counter)
+        return (yield _to_nd(p.premises[-1], {**env, **elims}, counter))
     rule = _ND_RULE[r]
     label = None
     if rule in DISCHARGING_RULES:
@@ -211,7 +219,7 @@ def _to_nd(p: SequentProof, env: dict[Formula, Derivation], counter: list[int]) 
     if rule not in INTRO_RULES:  # or_E, neg_and_E: the principal is the major premise
         subs.append(_copy(env[phi], counter))
     for q, (added, _) in zip(p.premises, specs):
-        subs.append(_to_nd(q, {**env, **{a: assumption(a, label) for a in added}}, counter))
+        subs.append((yield _to_nd(q, {**env, **{a: assumption(a, label) for a in added}}, counter)))
     return Derivation(rule, g, tuple(subs), discharge=label)
 
 
@@ -234,7 +242,7 @@ def normalize(sys_id: NdSystem, d: Derivation, cfg: SearchConfig | None = None) 
     if _has_elimination(d):
         proof = _rederive(calc, Sequent(oa, d.formula), cfg)
     else:
-        proof = _to_sc(calc, d, oa, discharged_leaves(d))
+        proof = recurse(_to_sc(d, oa, discharged_leaves(d)))
     return _sc_to_nd(calc, proof, cfg)
 
 

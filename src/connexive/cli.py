@@ -34,6 +34,8 @@ from .prover import (
 )
 from .reduction import normalize_by_reduction, reduce_step
 from .sequent import (
+    CONNEXIVE_CALCULI,
+    STARRED,
     Calculus,
     check_proof,
     parse_sequent,
@@ -95,7 +97,7 @@ def _config(args) -> SearchConfig:
 
 def cmd_prove(args) -> int:
     calc = _calculus(args.calculus)
-    goal = parse_sequent(args.goal, allow_primed=calc in (Calculus.LJP, Calculus.LJP_PEIRCE, Calculus.LJP_PEIRCE_PEM))
+    goal = parse_sequent(args.goal, allow_primed=calc not in CONNEXIVE_CALCULI)
     result = decide(calc, goal, _config(args))
     if result.verdict is Verdict.PROVABLE:
         print(proof_to_json(result.proof, indent=2))
@@ -130,7 +132,7 @@ def cmd_transform(args) -> int:
     if verb == "sc2nd":
         calc = _calculus(args.calculus)
         proof = proof_from_json(text)
-        if not proof.is_cut_free() and calc not in (Calculus.SMC, Calculus.SCN):
+        if not proof.is_cut_free() and calc not in STARRED:
             print("input proof contains cut", file=sys.stderr)
             return EXIT_NEGATIVE
         print(derivation_to_json(sc_to_nd(calc, proof, _config(args)), indent=2))

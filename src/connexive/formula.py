@@ -17,8 +17,9 @@ and repr=False, so they share Formula's __hash__, its structural __eq__,
 which walks both formulas with its own stack, and its __repr__, which
 gives the class name and the text.  The walks that build something per
 subformula (show, the translation f, the prover's tables) take their
-order from pending(), so no depth of formula overflows the interpreter's
-stack.
+order from pending(), and the parser is one loop over the tokens with a
+stack of pending operators, so no depth of formula overflows the
+interpreter's stack.
 """
 
 from __future__ import annotations
@@ -261,76 +262,56 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, toks: list[tuple[str, str, int]], allow_primed: bool):
-        self.toks = toks
-        self.i = 0
-        self.allow_primed = allow_primed
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def take(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
-        self.i += 1
-        return tok
-
-    # formula := imp ; imp := or ("->" imp)?
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "imp":
-            self.i += 1
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.i += 1
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.neg()
-        while self.peek()[0] == "&":
-            self.i += 1
-            f = And(f, self.neg())
-        return f
-
-    def neg(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "~":
-            self.i += 1
-            return Neg(self.neg())
-        if kind == "(":
-            self.i += 1
-            f = self.imp()
-            self.take(")", (")",))
-            return f
-        if kind == "atom":
-            self.i += 1
-            primed = text.endswith("'")
-            if primed and not self.allow_primed:
-                raise ParseError("primed atom outside embedding-target mode", pos)
-            return Var(text.rstrip("'"), primed)
-        raise ParseError(f"unexpected token {text or 'end of input'!r}", pos, ("~", "(", "atom"))
+_OPERAND = ("~", "(", "atom")
+# a binary operator's token kind -> its precedence and node class
+_BINARY = {"&": (_PREC_AND, And), "|": (_PREC_OR, Or), "imp": (_PREC_IMP, Imp)}
 
 
 def parse(text: str, allow_primed: bool = False) -> Formula:
-    """Parse a formula; primed atoms (p') only with allow_primed."""
+    """Parse a formula; primed atoms (p') only with allow_primed.
+
+    One loop over the tokens, with a stack of pending operators: Neg for
+    a ~, None for a (, and (precedence, class, left operand) for a binary
+    operator.  An operand takes the ~s above it at once; a binary operator
+    first applies the pending ones that bind at least as tightly, and )
+    applies all of them down to its (."""
     if not text.strip():
-        raise ParseError("empty input", 0, ("~", "(", "atom"))
-    p = _Parser(_tokenize(text), allow_primed)
-    try:
-        f = p.imp()
-    except RecursionError:
-        raise ParseError("formula is nested too deeply", p.peek()[2]) from None
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
-    return f
+        raise ParseError("empty input", 0, _OPERAND)
+    stack: list = []
+    f = None  # the operand just read; None where an operand is expected
+    for kind, tok, pos in _tokenize(text):
+        if f is None:
+            if kind == "~" or kind == "(":
+                stack.append(Neg if kind == "~" else None)
+                continue
+            if kind != "atom":
+                raise ParseError(f"unexpected token {tok or 'end of input'!r}", pos, _OPERAND)
+            primed = tok.endswith("'")
+            if primed and not allow_primed:
+                raise ParseError("primed atom outside embedding-target mode", pos)
+            f = Var(tok.rstrip("'"), primed)
+        else:
+            prec, cls = _BINARY.get(kind, (_PREC_IMP, None))
+            least = prec + 1 if cls is Imp else prec  # -> groups to the right
+            while stack and type(stack[-1]) is tuple and stack[-1][0] >= least:
+                _, op, left = stack.pop()
+                f = op(left, f)
+            if cls is not None:
+                stack.append((prec, cls, f))
+                f = None
+                continue
+            if kind == ")" and stack:
+                stack.pop()  # its (
+            elif stack:
+                raise ParseError(f"unexpected token {tok or 'end of input'!r}", pos, (")",))
+            elif kind == "eof":
+                return f
+            else:
+                raise ParseError(f"trailing input {tok!r}", pos, ("end of input",))
+        while stack and stack[-1] is Neg:
+            stack.pop()
+            f = Neg(f)
+    raise AssertionError("the token list ends with eof")
 
 
 # ---------------------------------------------------------------------------

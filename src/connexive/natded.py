@@ -22,9 +22,9 @@ by the interpreter's recursion limit.  The
 checker makes one pre-order pass that files every labelled leaf under
 the premise of its discharging node it sits in, then checks each node
 against its rule schema, a discharging node against those leaf lists.
-The other walks are bottom-up folds (fold), the JSON writer a pre-order
-walk.  Only the JSON reader recurses, within the depth json.loads
-accepts.
+The other walks are bottom-up folds (fold).  The JSON writer and reader
+are recursions run by sequent.recurse; a file is bounded only by the
+depth json.loads accepts.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Generator, Sequence, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import Formula, Imp, Neg, Var, parse, show
-from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule, same_dag
+from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule, recurse, same_dag
 
 
 class NdSystem(str, Enum):
@@ -615,11 +615,11 @@ def derivation_to_obj(d: Derivation) -> dict:
     return fold(d, combine)
 
 
-def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Derivation:
-    """Inverse of derivation_to_obj, parsing each distinct formula text
-    once: formulas maps the texts read so far to their formulas, and every
-    occurrence of a text gets the same object.  Malformed input raises
-    ValueError."""
+def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Generator:
+    """Inverse of derivation_to_obj, as a generator for recurse, parsing
+    each distinct formula text once: formulas maps the texts read so far
+    to their formulas, and every occurrence of a text gets the same
+    object.  Malformed input raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
     rule = NdRule(json_field(obj, "rule"))
@@ -631,8 +631,10 @@ def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Derivation:
         phi = formulas[text] = parse(text)
     if rule is NdRule.ASSUMPTION:
         return Derivation(rule, phi, label=_label(obj, "label"))
-    prems = tuple(_from_obj(p, formulas) for p in json_list(obj.get("premises", []), "premises"))
-    return Derivation(rule, phi, prems, _label(obj, "discharge"))
+    prems = []
+    for p in json_list(obj.get("premises", []), "premises"):
+        prems.append((yield _from_obj(p, formulas)))
+    return Derivation(rule, phi, tuple(prems), _label(obj, "discharge"))
 
 
 def _label(obj: dict, name: str) -> int | None:
@@ -644,21 +646,17 @@ def _label(obj: dict, name: str) -> int | None:
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
     """The text of json.dumps(derivation_to_obj(d), indent=indent).  It is
-    written by a pre-order walk, because json's encoder recurses once per
-    level of nesting and a derivation may be deeper than the recursion
-    limit allows."""
+    written by recurse, because json's encoder recurses once per level of
+    nesting and a derivation may be deeper than the recursion limit
+    allows."""
 
     def newline(level: int) -> str:
         return "" if indent is None else "\n" + " " * (indent * level)
 
     sep = ", " if indent is None else ","
     out: list[str] = []
-    stack: list = [(d, 0)]  # a node and its nesting level, or text to write
-    while stack:
-        n, level = stack.pop()
-        if isinstance(n, str):
-            out.append(n)
-            continue
+
+    def write(n: Derivation, level: int) -> Generator:
         inner = newline(level + 1)
         out.append(
             "{" + inner + '"rule": ' + json.dumps(n.rule.value) + sep
@@ -666,22 +664,21 @@ def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
         )
         if n.rule is NdRule.ASSUMPTION:
             out.append('"label": ' + json.dumps(n.label) + newline(level) + "}")
-            continue
+            return
         out.append('"discharge": ' + json.dumps(n.discharge) + sep + inner + '"premises": ')
-        prems = n.premises
-        if not prems:
-            out.append("[]" + newline(level) + "}")
-            continue
         item = newline(level + 2)
-        stack.append((inner + "]" + newline(level) + "}", 0))
-        for i in range(len(prems) - 1, -1, -1):
-            stack.append((prems[i], level + 2))
-            stack.append(((sep if i else "[") + item, 0))
+        for i, p in enumerate(n.premises):
+            out.append((sep if i else "[") + item)
+            yield write(p, level + 2)
+        out.append((inner + "]" if n.premises else "[]") + newline(level) + "}")
+
+    recurse(write(d, 0))
     return "".join(out)
 
 
 def derivation_from_json(text: str) -> Derivation:
     try:
-        return _from_obj(json.loads(text), {})
+        obj = json.loads(text)
     except RecursionError:
         raise ValueError("derivation file is nested too deeply") from None
+    return recurse(_from_obj(obj, {}))

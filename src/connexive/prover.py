@@ -232,24 +232,19 @@ class Tables:
     bit (v >> 2i) & 1 and the falsity bit (v >> 2i+1) & 1; each formula
     gets a pair of masks with one bit per valuation."""
 
-    def __init__(self, atoms_: list[Var], require_t_or_f: bool = False, pem_pairs: bool = False):
+    def __init__(self, atoms_: list[Var]):
         self.index = {a: i for i, a in enumerate(sorted(atoms_, key=key))}
         n = len(self.index)
         self.nvals = 1 << (2 * n)
         self.full = (1 << self.nvals) - 1
         self._bit = [self._bit_mask(b) for b in range(2 * n)]
         self._memo: dict[Formula, tuple[int, int]] = {}
-        self.allowed = self._allowed(require_t_or_f, pem_pairs)
+        self.allowed = self.full
 
     def restricted(self, require_t_or_f: bool, pem_pairs: bool) -> Tables:
         """These tables, masks and memo shared, with refutes limited to
         the valuations that the given restrictions allow: one calculus's
         view of tables that several calculi share."""
-        view = object.__new__(Tables)
-        view.__dict__.update(self.__dict__, allowed=self._allowed(require_t_or_f, pem_pairs))
-        return view
-
-    def _allowed(self, require_t_or_f: bool, pem_pairs: bool) -> int:
         allowed = self.full
         if require_t_or_f:
             for i in range(len(self.index)):
@@ -260,7 +255,9 @@ class Tables:
                     j = self.index.get(Var(a.name, True))
                     if j is not None:
                         allowed &= self._bit[2 * i] | self._bit[2 * j]
-        return allowed
+        view = object.__new__(Tables)
+        view.__dict__.update(self.__dict__, allowed=allowed)
+        return view
 
     def _bit_mask(self, b: int) -> int:
         half = 1 << b

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Generator, Iterable, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, has_negation, key, parse, show
@@ -324,6 +324,22 @@ def fold(proof: SequentProof, combine: Callable[[SequentProof, list[T]], T]) -> 
     return root[0]
 
 
+def recurse(gen: Generator) -> T:
+    """Run a recursion written as generators on a stack of them, so its
+    depth is not bounded by the interpreter's recursion limit.  A
+    generator yields a generator for each recursive call, is sent that
+    call's value, and returns its own value."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Checker.
 
@@ -456,7 +472,7 @@ def _weaken(proof: SequentProof, extra: frozenset[Formula]) -> SequentProof:
 def identity_proof(calc: Calculus, alpha: Formula, gamma: Iterable[Formula] = ()) -> SequentProof:
     gamma = frozenset(gamma)
     _require_language(calc, gamma | {alpha})
-    return _identity(alpha, gamma)
+    return recurse(_identity(alpha, gamma))
 
 
 def _require_language(calc: Calculus, formulas: frozenset[Formula]) -> None:
@@ -464,25 +480,24 @@ def _require_language(calc: Calculus, formulas: frozenset[Formula]) -> None:
         raise ValueError(f"negation not in the language of {calc.value}")
 
 
-def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
+def _identity(a: Formula, g: frozenset[Formula]) -> Generator:
     goal = Sequent(g | {a}, a)
     if isinstance(a, Var):
         return SequentProof(goal, Rule.INIT1)
     if isinstance(a, And):
         l, r = a.left, a.right
-        def half(side: Formula, other: Formula) -> SequentProof:
-            inner = _identity(side, g | {other})
-            return SequentProof(Sequent(g | {a}, side), Rule.AND_LEFT, a, (inner,))
-        return SequentProof(goal, Rule.AND_RIGHT, None, (half(l, r), half(r, l)))
+        h1 = SequentProof(Sequent(g | {a}, l), Rule.AND_LEFT, a, ((yield _identity(l, g | {r})),))
+        h2 = SequentProof(Sequent(g | {a}, r), Rule.AND_LEFT, a, ((yield _identity(r, g | {l})),))
+        return SequentProof(goal, Rule.AND_RIGHT, None, (h1, h2))
     if isinstance(a, Or):
         l, r = a.left, a.right
-        p1 = SequentProof(Sequent(g | {l}, a), Rule.OR_RIGHT1, None, (_identity(l, g),))
-        p2 = SequentProof(Sequent(g | {r}, a), Rule.OR_RIGHT2, None, (_identity(r, g),))
+        p1 = SequentProof(Sequent(g | {l}, a), Rule.OR_RIGHT1, None, ((yield _identity(l, g)),))
+        p2 = SequentProof(Sequent(g | {r}, a), Rule.OR_RIGHT2, None, ((yield _identity(r, g)),))
         return SequentProof(goal, Rule.OR_LEFT, a, (p1, p2))
     if isinstance(a, Imp):
         l, r = a.left, a.right
-        left_prem = _identity(l, g)  # l, g => l
-        right_prem = _identity(r, g | {l})  # r, l, g => r
+        left_prem = yield _identity(l, g)  # l, g => l
+        right_prem = yield _identity(r, g | {l})  # r, l, g => r
         imp_left = SequentProof(
             Sequent(g | {a, l}, r), Rule.IMP_LEFT, a, (left_prem, right_prem)
         )
@@ -492,24 +507,24 @@ def _identity(a: Formula, g: frozenset[Formula]) -> SequentProof:
     if isinstance(b, Var):
         return SequentProof(goal, Rule.INIT2)
     if isinstance(b, Neg):
-        inner = _identity(b.body, g)  # b.body, g => b.body
+        inner = yield _identity(b.body, g)  # b.body, g => b.body
         peel = SequentProof(Sequent(g | {a}, b.body), Rule.NEG_LEFT, a, (inner,))
         return SequentProof(goal, Rule.NEG_RIGHT, None, (peel,))
     if isinstance(b, And):
         l, r = Neg(b.left), Neg(b.right)
-        p1 = SequentProof(Sequent(g | {l}, a), Rule.NEG_AND_RIGHT1, None, (_identity(l, g),))
-        p2 = SequentProof(Sequent(g | {r}, a), Rule.NEG_AND_RIGHT2, None, (_identity(r, g),))
+        p1 = SequentProof(Sequent(g | {l}, a), Rule.NEG_AND_RIGHT1, None, ((yield _identity(l, g)),))
+        p2 = SequentProof(Sequent(g | {r}, a), Rule.NEG_AND_RIGHT2, None, ((yield _identity(r, g)),))
         return SequentProof(goal, Rule.NEG_AND_LEFT, a, (p1, p2))
     if isinstance(b, Or):
         l, r = Neg(b.left), Neg(b.right)
-        q1 = _identity(l, g | {r})
-        q2 = _identity(r, g | {l})
+        q1 = yield _identity(l, g | {r})
+        q2 = yield _identity(r, g | {l})
         pair = SequentProof(Sequent(g | {l, r}, a), Rule.NEG_OR_RIGHT, None, (q1, q2))
         return SequentProof(goal, Rule.NEG_OR_LEFT, a, (pair,))
     assert isinstance(b, Imp)
     l, nr = b.left, Neg(b.right)
-    left_prem = _identity(l, g)
-    right_prem = _identity(nr, g | {l})
+    left_prem = yield _identity(l, g)
+    right_prem = yield _identity(nr, g | {l})
     neg_imp_left = SequentProof(
         Sequent(g | {a, l}, nr), Rule.NEG_IMP_LEFT, a, (left_prem, right_prem)
     )

@@ -48,21 +48,6 @@ def and_left_tower(n: int) -> SequentProof:
     return node
 
 
-def same_proof(a: SequentProof, b: SequentProof) -> bool:
-    """a == b, compared with an explicit stack rather than the dataclass
-    __eq__, which recurses once per level of the proof."""
-    stack, seen = [(a, b)], set()
-    while stack:
-        x, y = stack.pop()
-        if (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
-        if (x.conclusion, x.rule, x.principal, len(x.premises)) != (y.conclusion, y.rule, y.principal, len(y.premises)):
-            return False
-        stack.extend(zip(x.premises, y.premises))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The nested proof layout, which proof files had before the formula table.
 # proof_from_json no longer reads it; it stays as the reference writer

@@ -217,17 +217,65 @@ def test_check_malformed_derivation(capsys, monkeypatch, text, message):
 
 
 @pytest.mark.parametrize(
-    "goal", ["=> " + "~" * 1200 + "p", "=> " + "(" * 3000 + "p" + ")" * 3000], ids=["negations", "parentheses"]
+    "goal, expected",
+    [
+        ("p => " + "~" * 1200 + "p", 0),
+        ("p => " + "(" * 3000 + "p" + ")" * 3000, 0),
+        ("=> " + " -> ".join(["p"] * 1000), 0),
+        ("=> " + "~" * 1200 + "p", 1),
+    ],
+    ids=["negations", "parentheses", "implications", "unprovable"],
 )
-def test_prove_deep_formula_is_input_error(capsys, goal):
+def test_prove_deep_formula_is_decided(capsys, tmp_path, goal, expected):
+    """The parser is one loop over the tokens, so deep nesting is decided
+    under the default limit, and the proof it prints checks as valid."""
+    path = tmp_path / "proof.json"
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         code, out, err = run(capsys, "prove", "sc", goal)
+        if code == 0:
+            path.write_text(out)
+            checked = run(capsys, "check", "sc", "sc", str(path))
     finally:
         sys.setrecursionlimit(limit)
-    assert code == 2
-    assert out == "" and "formula is nested too deeply" in err
+    assert code == expected, err
+    if expected == 0:
+        assert checked[:2] == (0, "valid\n")
+    else:
+        assert out == "" and "unprovable" in err
+
+
+def test_matrix_decides_deep_parentheses(capsys, monkeypatch):
+    """A matrix line nested in 300 parentheses gets verdicts, not ERR."""
+    import io
+
+    line = "(" * 300 + "p -> p" + ")" * 300
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        code, out, err = run(capsys, "matrix", "-")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["p -> p,Y,Y,Y,Y"]
+
+
+def test_sc2nd_deep_proof(capsys, tmp_path):
+    """A proof 3,001 levels deep translates to a derivation under the
+    default limit."""
+    path = tmp_path / "deep.json"
+    path.write_text(proof_to_json(and_left_tower(3000), indent=2))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", "sc")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    d = derivation_from_json(out)
+    assert check_derivation(NdSystem.NC, d).ok and d.formula == p
 
 
 def test_deep_conjunction_chain_is_proved(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 import sys
@@ -240,3 +241,27 @@ def test_pending_lists_each_node_before_its_parts():
     phi = Imp(And(p, q), Neg(p))
     assert pending(phi, lambda f: False) == [phi, And(p, q), Neg(p), p, q, p]
     assert pending(phi, {And(p, q)}.__contains__) == [phi, Neg(p), p]
+
+
+# token pieces for random parser input: atoms, a primed atom, the
+# connectives, parentheses, a space, and characters that are no token
+_PIECES = ["p", "q", "r1", "p'", "~", "&", "|", "->", "(", ")", " ", "!", "-", ">", "P"]
+_WEIGHTS = [6, 5, 3, 2, 5, 3, 3, 3, 4, 4, 3, 1, 1, 1, 1]
+
+
+def test_parse_outcome_digest_unchanged():
+    """What parse makes of 4,000 seeded random token strings, with primed
+    atoms allowed and not: the formula's text, or the ParseError's
+    message, offset and expected tokens.  The digest was recorded with
+    the recursive-descent parser that the loop parser replaced."""
+    rng = random.Random(2022)
+    digest = hashlib.sha256()
+    for _ in range(4000):
+        text = "".join(rng.choices(_PIECES, _WEIGHTS, k=rng.randint(0, 14)))
+        for allow_primed in (False, True):
+            try:
+                outcome = show(parse(text, allow_primed))
+            except ParseError as e:
+                outcome = (str(e), e.offset, e.expected)
+            digest.update(repr((text, allow_primed, outcome)).encode())
+    assert digest.hexdigest() == "af52483cf3d8f316d9c5e339831980cbe3aaead899e27424296f881c452c2a8d"

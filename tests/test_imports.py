@@ -1,7 +1,8 @@
 """Each module of the package uses every name it imports, every private
 name it defines at module level is referred to somewhere in the package,
-no module holds mutable state at its top level, and none sets the
-process recursion limit.  Checked on the syntax tree with the standard
+no module holds mutable state at its top level, none sets the process
+recursion limit, and no function calls itself except through
+sequent.recurse.  Checked on the syntax tree with the standard
 library, since no linter is a dependency; the import check leaves
 __init__.py out because it imports names to re-export them."""
 
@@ -85,6 +86,29 @@ def recursion_limit_calls(source: str) -> list[int]:
     ]
 
 
+def self_calls(source: str) -> list[str]:
+    """The functions of source that call themselves, once per call, by
+    name or as self.<name>, anywhere in their bodies (nested functions
+    and lambdas included): recursion on the interpreter's stack, which a
+    deep input overflows.  A call that is the operand of yield is left
+    out: that is a generator asking sequent.recurse for the value."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yielded = {id(n.value) for n in ast.walk(func) if isinstance(n, ast.Yield)}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call) or id(node) in yielded:
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == func.name) or (
+                isinstance(f, ast.Attribute) and f.attr == func.name
+                and isinstance(f.value, ast.Name) and f.value.id == "self"
+            ):
+                found.append(func.name)
+    return found
+
+
 def test_unused_imports_detected():
     assert unused_imports("import os\nimport a.b\nfrom x import y, z as w\nos.sep, w\n") == ["a", "y"]
 
@@ -142,3 +166,27 @@ def test_no_recursion_limit_calls():
         if (lines := recursion_limit_calls(path.read_text()))
     }
     assert found == {}
+
+
+def test_self_calls_detected():
+    module = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g(n):\n    x = yield g(n - 1)\n    yield from g(n)\n"
+        "def h(n):\n    def inner():\n        return h(n)\n    return (lambda: h(1))()\n"
+        "class C:\n    def m(self):\n        return self.m() + other.m()\n"
+        "def k():\n    return f(1)\n"
+    )
+    assert self_calls(module) == ["f", "g", "h", "h", "m"]
+
+
+def test_no_self_calls():
+    """Every recursive walk in the package keeps its own stack or runs on
+    sequent.recurse.  The one exception is decide's single call for a
+    starred calculus, which decides the unstarred one: perfbench/spans.py
+    tells search time from destar time by that nested decide span."""
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := self_calls(path.read_text()))
+    }
+    assert found == {"prover.py": ["decide"]}

@@ -34,8 +34,9 @@ from connexive.natded import (
     require_valid,
     subst_leaves,
 )
+from connexive.bridge import nd_to_sc
 from connexive.reduction import reduce_step
-from connexive.sequent import RULES_OF
+from connexive.sequent import RULES_OF, Calculus, Sequent, check_proof
 
 from helpers import bind_open, mutated_derivations, rand_derivation
 
@@ -342,6 +343,20 @@ def test_deep_derivations_compare_hash_and_repr():
         assert repr(a) == "Derivation('p')"
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_nd_to_sc_on_a_deep_chain():
+    """nd_to_sc runs on recurse, so a 3,000-level or_E chain translates
+    under the default limit."""
+    d = or_e_chain(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        proof = nd_to_sc(NdSystem.NC, d)
+        ok = check_proof(Calculus.SC, proof).ok
+    finally:
+        sys.setrecursionlimit(limit)
+    assert proof.conclusion == Sequent(open_assumptions(d), d.formula) and ok
 
 
 def test_natded_walks_are_linear():

@@ -91,7 +91,7 @@ def _lattice_searches(verdicts: dict) -> list:
 def _root_refuted(calc, s) -> bool:
     """Whether the four-valued tables refute s itself in calc."""
     found = set().union(*map(atoms, (*s.ctx, s.suc)))
-    return Tables(list(found), Rule.EX_MIDDLE in RULES_OF[calc]).refutes(s)
+    return Tables(list(found)).restricted(Rule.EX_MIDDLE in RULES_OF[calc], pem_pairs=False).refutes(s)
 
 
 def test_separation_matrix_analyses_each_row_once(monkeypatch):
@@ -600,12 +600,12 @@ def test_conjunction_chain_proves_itself_under_default_limit():
 
 
 def test_tables_examples():
-    t = Tables([p], require_t_or_f=False)
+    t = Tables([p]).restricted(require_t_or_f=False, pem_pairs=False)
     assert t.refutes(seq([], p))
     assert not t.refutes(seq([], Imp(p, p)))
     assert not t.refutes(seq([], Neg(Imp(p, Neg(p)))))
     assert t.refutes(seq([], Or(Neg(p), p)))
-    t3 = Tables([p], require_t_or_f=True)
+    t3 = Tables([p]).restricted(require_t_or_f=True, pem_pairs=False)
     assert not t3.refutes(seq([], Or(Neg(p), p)))
     assert t3.refutes(seq([], p))
 
@@ -658,7 +658,7 @@ def test_tables_never_refute_provable():
                 for f in n.conclusion.ctx:
                     seen_atoms |= atoms(f)
                 nodes += list(n.premises)
-            t = Tables(sorted(seen_atoms, key=str), require_t_or_f=require, pem_pairs=pem)
+            t = Tables(sorted(seen_atoms, key=str)).restricted(require_t_or_f=require, pem_pairs=pem)
             nodes = [res.proof]
             while nodes:
                 n = nodes.pop()

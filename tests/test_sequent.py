@@ -34,7 +34,6 @@ from helpers import (
     mutated_proofs,
     rand_formula,
     reference_proof_to_obj,
-    same_proof,
     shared_or_chain,
 )
 
@@ -191,6 +190,46 @@ def test_identity_proof_random():
             rep = check_proof(calc, proof)
             assert rep.ok, rep.message()
             assert proof.is_cut_free()
+
+
+def test_deep_identity_proof_under_default_limit():
+    """Generalized identity runs on recurse, so a 1,500-deep formula gets
+    its identity proof under the default limit."""
+    alpha = p
+    for i in range(1500):
+        alpha = Imp(q, alpha) if i % 3 else Neg(Or(alpha, q))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        proof = identity_proof(Calculus.SC, alpha, {r})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert proof.conclusion == Sequent(frozenset({alpha, r}), alpha)
+    assert check_proof(Calculus.SC, proof).ok and proof.is_cut_free()
+
+
+def test_recurse_runs_a_generator_recursion():
+    """recurse sends each yielded generator's value back, in order, and
+    returns the outer generator's value; it is not bounded by the limit."""
+
+    def count(n):
+        return 0 if n == 0 else 1 + (yield count(n - 1))
+
+    def tree(n):
+        if n == 0:
+            return "x"
+        left = yield tree(n - 1)
+        right = yield tree(n - 1)
+        return f"({left} {right})"
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        deep = sequent.recurse(count(5000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert deep == 5000
+    assert sequent.recurse(tree(2)) == "((x x) (x x))"
 
 
 def test_weaken_proof():
@@ -406,7 +445,7 @@ def test_deep_proof_roundtrip_under_default_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert back is not None, "the proof file round trip recursed"
-    assert same_proof(back, tower) and back.depth() == 3001
+    assert back == tower and back.depth() == 3001
     assert again == text
     # one line per formula and per node, none indented past the node list
     lines = text.splitlines()
