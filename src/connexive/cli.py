@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .bridge import nd_to_sc, normalize, sc_to_nd
@@ -79,18 +78,10 @@ def _system(name: str) -> NdSystem:
 
 
 def _config(args) -> SearchConfig:
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        env = os.environ.get("CXK_BUDGET")
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise _UsageError(f"bad CXK_BUDGET value {env!r}") from None
-    if budget is None:
+    if args.budget is None:
         return SearchConfig()
     try:
-        return SearchConfig(node_budget=budget)
+        return SearchConfig(node_budget=args.budget)
     except ValueError as e:
         raise _UsageError(str(e)) from None
 
@@ -157,7 +148,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK
     if verb == "weaken":
         calc = _calculus(args.calculus)
-        extra = frozenset(parse(t) for t in args.by.split(",") if t.strip())
+        extra = frozenset(parse(t, allow_primed=calc not in CONNEXIVE_CALCULI) for t in args.by.split(",") if t.strip())
         print(proof_to_json(weaken_proof(calc, proof_from_json(text), extra), indent=2))
         return EXIT_OK
     if verb == "cutfree":

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import And, Formula, Imp, Neg, Or, Var, has_primed, pending
+from .formula import And, Formula, Imp, Neg, Or, Var, pending
 from .prover import ProveResult, SearchConfig, decide
-from .sequent import Calculus, Sequent
+from .sequent import Calculus, Sequent, language_error
 
 
 def translate_f(phi: Formula) -> Formula:
     """f: ~-free image of phi over the primed/unprimed atom language.
-    Each subformula a gets the pair (f(a), f(~a)), parts first."""
-    if has_primed(phi):
-        raise ValueError("primed atom in embedding input")
+    Each subformula a gets the pair (f(a), f(~a)), parts first.  phi must
+    be in the language of sc."""
+    if (reason := language_error(Calculus.SC, (phi,))) is not None:
+        raise ValueError(reason)
     image: dict[Formula, tuple[Formula, Formula]] = {}
     for a in reversed(pending(phi, lambda a: False)):
         if isinstance(a, Var):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -140,38 +140,6 @@ class Neg(Formula):
 
     def __post_init__(self):
         _set(self, "_hash", hash((self.body,)))
-
-
-def size(phi: Formula) -> int:
-    """Number of connective and atom nodes."""
-    return sum(1 for _ in subformulas(phi))
-
-
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All subformulas including phi itself, one per occurrence, in
-    pre-order (a node, then its left, then its right part).  The walk
-    keeps its own stack, so no depth of formula can overflow it."""
-    todo = [phi]
-    while todo:
-        f = todo.pop()
-        yield f
-        if isinstance(f, Neg):
-            todo.append(f.body)
-        elif not isinstance(f, Var):
-            todo.append(f.right)
-            todo.append(f.left)
-
-
-def atoms(phi: Formula) -> set[Var]:
-    return {f for f in subformulas(phi) if isinstance(f, Var)}
-
-
-def has_negation(phi: Formula) -> bool:
-    return any(isinstance(f, Neg) for f in subformulas(phi))
-
-
-def has_primed(phi: Formula) -> bool:
-    return any(f.primed for f in atoms(phi))
 
 
 def pending(phi: Formula, known: Callable[[Formula], bool]) -> list[Formula]:

@@ -176,10 +176,6 @@ class MaxOccurrence:
     formula: Formula
 
 
-def end_formula(d: Derivation) -> Formula:
-    return d.formula
-
-
 T = TypeVar("T")
 
 
@@ -599,27 +595,15 @@ def replace_at(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivat
 
 
 # ---------------------------------------------------------------------------
-# JSON derivation format.
-
-def derivation_to_obj(d: Derivation) -> dict:
-    def combine(n: Derivation, prems) -> dict:
-        if n.rule is NdRule.ASSUMPTION:
-            return {"rule": n.rule.value, "formula": show(n.formula), "label": n.label}
-        return {
-            "rule": n.rule.value,
-            "formula": show(n.formula),
-            "discharge": n.discharge,
-            "premises": list(prems),
-        }
-
-    return fold(d, combine)
-
+# JSON derivation format.  A node is an object: an assumption is {"rule",
+# "formula", "label"}, any other node {"rule", "formula", "discharge",
+# "premises": [the premises' objects]}.
 
 def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Generator:
-    """Inverse of derivation_to_obj, as a generator for recurse, parsing
-    each distinct formula text once: formulas maps the texts read so far
-    to their formulas, and every occurrence of a text gets the same
-    object.  Malformed input raises ValueError."""
+    """The derivation whose node object is obj, as a generator for
+    recurse, parsing each distinct formula text once: formulas maps the
+    texts read so far to their formulas, and every occurrence of a text
+    gets the same object.  Malformed input raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
     rule = NdRule(json_field(obj, "rule"))
@@ -645,10 +629,10 @@ def _label(obj: dict, name: str) -> int | None:
 
 
 def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
-    """The text of json.dumps(derivation_to_obj(d), indent=indent).  It is
-    written by recurse, because json's encoder recurses once per level of
-    nesting and a derivation may be deeper than the recursion limit
-    allows."""
+    """d in the JSON derivation format, as json.dumps would write its
+    object with indent.  It is written by recurse, because json's encoder
+    recurses once per level of nesting and a derivation may be deeper
+    than the recursion limit allows."""
 
     def newline(level: int) -> str:
         return "" if indent is None else "\n" + " " * (indent * level)

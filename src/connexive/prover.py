@@ -75,10 +75,8 @@ from .formula import (
     Neg,
     Or,
     Var,
-    atoms,
     closure,
     closure_set,
-    has_negation,
     key,
     pending,
     show,
@@ -92,9 +90,11 @@ from .sequent import (
     Rule,
     Sequent,
     SequentProof,
+    _identity,
     check_proof,
     fold,
-    identity_proof,
+    language_error,
+    recurse,
     shape,
 )
 
@@ -215,8 +215,9 @@ def _destar(proof: SequentProof) -> SequentProof:
     def combine(node: SequentProof, subs: list[SequentProof]) -> SequentProof:
         if node.rule is not Rule.PEIRCE:
             return SequentProof(node.conclusion, node.rule, node.principal, tuple(subs))
+        # the proof was checked, so its formulas are in the language already
         alpha = node.conclusion.suc
-        ident = identity_proof(Calculus.SMC_STAR, alpha, node.conclusion.ctx - {alpha})
+        ident = recurse(_identity(alpha, node.conclusion.ctx - {alpha}))
         return SequentProof(node.conclusion, Rule.G_EX_MIDDLE, node.principal, (*subs, ident))
 
     return fold(proof, combine)
@@ -322,15 +323,13 @@ class _Analysis:
     goal's atoms, so the universe waits until a search needs it."""
 
     def __init__(self, calc: Calculus, goal: Sequent):
-        formulas = (*goal.ctx, goal.suc)
-        found = set().union(*map(atoms, formulas))
-        if calc in CONNEXIVE_CALCULI:
-            if any(a.primed for a in found):
-                raise ValueError("primed atoms belong to the positive language only")
-        elif any(has_negation(f) for f in formulas):
-            raise ValueError(f"connexive negation is outside the language of {calc.value}")
+        seen: dict[int, Formula] = {}
+        reason = language_error(calc, (*goal.ctx, goal.suc), seen)
+        if reason is not None:
+            raise ValueError(reason)
+        found = {f for f in seen.values() if type(f) is Var}
         if Rule.P_EX_MIDDLE in RULES_OF[calc]:
-            # the primed partners that _build_universe adds
+            # the primed partners that the universe adds
             found |= {Var(a.name, True) for a in found if not a.primed}
         self.calc, self.goal = calc, goal
         self.tables = Tables(list(found))
@@ -341,8 +340,12 @@ class _Analysis:
         instance, so a goal whose root the tables refute never builds
         it.  The goal's own formulas are checked against it here, the
         root of _Search._emit's guard."""
-        universe = _Search._build_universe(self.calc, self.goal)
-        for f in (*self.goal.ctx, self.goal.suc):
+        calc, goal = self.calc, self.goal
+        universe = closure(goal, add_negations=calc in CONNEXIVE_CALCULI)
+        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
+            extra = {Var(a.name, True) for a in universe if isinstance(a, Var) and not a.primed}
+            universe = closure_set(universe | extra, add_negations=False)
+        for f in (*goal.ctx, goal.suc):
             if not _covered(universe, f):
                 raise RuntimeError(f"proof search left its universe: {show(f)}")
         return universe
@@ -411,14 +414,6 @@ class _Search:
         # left candidates by principal; (Peirce) principals by succedent
         self._candidates: dict[Formula, tuple | None] = {}
         self._peirce: dict[Formula, list[Imp]] = {}
-
-    @staticmethod
-    def _build_universe(calc: Calculus, goal: Sequent) -> frozenset[Formula]:
-        uni = closure(goal, add_negations=calc in CONNEXIVE_CALCULI)
-        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
-            extra = {Var(a.name, True) for a in uni if isinstance(a, Var) and not a.primed}
-            uni = closure_set(uni | extra, add_negations=False)
-        return uni
 
     def dfs(self, s: Sequent, depth: int) -> tuple[SequentProof | None, int]:
         """Searches s as a node at depth and returns (proof, dep), where

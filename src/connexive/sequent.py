@@ -1,6 +1,6 @@
-"""Sequents, rule-annotated sequent proofs, per-calculus rule tables,
-the rule schemas, the proof checker, constructive weakening, and
-generalized identity.
+"""Sequents, rule-annotated sequent proofs, per-calculus rule tables and
+languages, the rule schemas, the proof checker, constructive weakening,
+and generalized identity.
 
 SCHEMAS is the one definition of the rules other than the two axioms:
 for each rule it builds the premises from the succedent and the
@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable, Generator, Iterable, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
-from .formula import And, Formula, Imp, Neg, Or, Var, has_negation, key, parse, show
+from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
 
 
 class Calculus(str, Enum):
@@ -139,6 +139,37 @@ CONNEXIVE_CALCULI = frozenset(
 )
 
 
+def language_error(calc: Calculus, formulas: Iterable[Formula], seen: dict | None = None) -> str | None:
+    """Why a formula of formulas lies outside calc's language, or None.  A
+    connexive calculus has ~ and no primed atom; every other calculus has
+    primed atoms and no ~.  The walk keeps its own stack and visits each
+    subformula object once, so a formula shared as a DAG costs time
+    linear in its distinct nodes.  seen maps the id of each subformula
+    visited to it, which keeps the id from being reused; a caller that
+    passes it shares the walk across calls, and after an error it may
+    hold formulas outside the language."""
+    connexive = calc in CONNEXIVE_CALCULI
+    seen = {} if seen is None else seen
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen[id(f)] = f
+        cls = type(f)
+        if cls is Var:
+            if connexive and f.primed:
+                return "primed atoms belong to the positive language only"
+        elif cls is Neg:
+            if not connexive:
+                return f"connexive negation not in the language of {calc.value}"
+            todo.append(f.body)
+        else:
+            todo.append(f.left)
+            todo.append(f.right)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rule schemas.  An entry maps (succedent, principal) to the G3 premise
 # specs [(formulas added to the context, succedent), ...], or None when
@@ -196,6 +227,8 @@ LEFT_RULES = frozenset({
 })
 # premise 1 owns one context and premise 2 another
 _SPLIT_RULES = frozenset({Rule.CUT, Rule.IMP_LEFT, Rule.NEG_IMP_LEFT})
+# the rules whose principal need be neither in the conclusion nor a part of it
+_FREE_RULES = frozenset({Rule.CUT, Rule.EX_MIDDLE, Rule.PEIRCE, Rule.G_EX_MIDDLE, Rule.P_EX_MIDDLE})
 
 
 @dataclass(frozen=True)
@@ -345,12 +378,34 @@ def recurse(gen: Generator) -> T:
 
 def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     """Accept iff every node instantiates a rule schema of calc under set
-    semantics; on failure pinpoint the first failing node (pre-order).
-    Each distinct node is checked once; the path to a failure is built
-    bottom-up, so it names the first failing occurrence in the tree."""
+    semantics and every formula is in calc's language; on failure
+    pinpoint the first failing node (pre-order).  Each distinct node is
+    checked once; the path to a failure is built bottom-up, so it names
+    the first failing occurrence in the tree.
+
+    The language is checked on the root's formulas and on each free
+    principal (that of cut, ex_middle, peirce, g_ex_middle, p_ex_middle,
+    an unnamed cut's being its first premise's succedent), and nowhere
+    else.  That is enough: the set equations let a valid node's premises
+    hold only formulas of its conclusion, parts of its principal or
+    succedent, its free principal, and the formulas that the neg_* rules,
+    ex_middle and p_ex_middle build from these.  The first two add a ~,
+    and only connexive calculi have them; p_ex_middle adds a primed atom,
+    and no connexive calculus has it.  So one walk over distinct
+    subformulas decides the language of every node."""
+    seen: dict[int, Formula] = {}
+    root = proof.conclusion
+    reason = language_error(calc, (*root.ctx, root.suc), seen)
+    if reason is not None:
+        return CheckReport(False, (), proof.rule.value, reason)
 
     def combine(node: SequentProof, subs: list[CheckReport]) -> CheckReport:
         reason = _node_error(calc, node)
+        if reason is None and node.rule in _FREE_RULES:
+            phi = node.principal if node.principal is not None else node.premises[0].conclusion.suc
+            reason = language_error(calc, (phi,), seen)
+            if reason is not None:
+                seen.clear()  # so a later walk cannot skip what this one found
         if reason is not None:
             return CheckReport(False, (), node.rule.value, reason)
         for i, rep in enumerate(subs):
@@ -445,7 +500,8 @@ def weaken_proof(calc: Calculus, proof: SequentProof, extra: Iterable[Formula]) 
     """Checker-valid cut-free proof of (extra | ctx => suc); same rule
     skeleton, every node's context enlarged."""
     extra = frozenset(extra)
-    _require_language(calc, extra)
+    if (reason := language_error(calc, extra)) is not None:
+        raise ValueError(reason)
     _require_valid(calc, proof)
     if not proof.is_cut_free():
         raise InvalidProof(CheckReport(False, (), proof.rule.value, "input contains cut"))
@@ -471,13 +527,9 @@ def _weaken(proof: SequentProof, extra: frozenset[Formula]) -> SequentProof:
 
 def identity_proof(calc: Calculus, alpha: Formula, gamma: Iterable[Formula] = ()) -> SequentProof:
     gamma = frozenset(gamma)
-    _require_language(calc, gamma | {alpha})
+    if (reason := language_error(calc, (*gamma, alpha))) is not None:
+        raise ValueError(reason)
     return recurse(_identity(alpha, gamma))
-
-
-def _require_language(calc: Calculus, formulas: frozenset[Formula]) -> None:
-    if calc not in CONNEXIVE_CALCULI and any(has_negation(f) for f in formulas):
-        raise ValueError(f"negation not in the language of {calc.value}")
 
 
 def _identity(a: Formula, g: frozenset[Formula]) -> Generator:

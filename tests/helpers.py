@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from connexive.formula import And, Formula, Imp, Neg, Or, Var, closure_set, key, show
 from connexive.natded import (
@@ -16,9 +17,45 @@ from connexive.natded import (
     open_assumptions,
     replace_at,
 )
+from connexive.natded import fold as nd_fold
 from connexive.sequent import CONNEXIVE_CALCULI, Rule, Sequent, SequentProof, fold, seq
 
 ATOMS = (Var("p"), Var("q"), Var("r"))
+
+
+# ---------------------------------------------------------------------------
+# Walks over a formula's occurrences, for checks on what the program builds.
+
+def size(phi: Formula) -> int:
+    """Number of connective and atom nodes."""
+    return sum(1 for _ in subformulas(phi))
+
+
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """All subformulas including phi itself, one per occurrence, in
+    pre-order (a node, then its left, then its right part).  The walk
+    keeps its own stack, so no depth of formula can overflow it."""
+    todo = [phi]
+    while todo:
+        f = todo.pop()
+        yield f
+        if isinstance(f, Neg):
+            todo.append(f.body)
+        elif not isinstance(f, Var):
+            todo.append(f.right)
+            todo.append(f.left)
+
+
+def atoms(phi: Formula) -> set[Var]:
+    return {f for f in subformulas(phi) if isinstance(f, Var)}
+
+
+def has_negation(phi: Formula) -> bool:
+    return any(isinstance(f, Neg) for f in subformulas(phi))
+
+
+def has_primed(phi: Formula) -> bool:
+    return any(f.primed for f in atoms(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +115,25 @@ def reference_proof_to_obj(proof: SequentProof) -> dict:
         return obj
 
     return emit(proof)
+
+
+# A derivation as the object that derivation_to_json writes: an assumption
+# is {"rule", "formula", "label"}, any other node {"rule", "formula",
+# "discharge", "premises"}.  One dict per occurrence, since relabelled_json
+# changes the dicts in place.
+
+def derivation_to_obj(d: Derivation) -> dict:
+    def combine(n: Derivation, prems) -> dict:
+        if n.rule is NdRule.ASSUMPTION:
+            return {"rule": n.rule.value, "formula": show(n.formula), "label": n.label}
+        return {
+            "rule": n.rule.value,
+            "formula": show(n.formula),
+            "discharge": n.discharge,
+            "premises": list(prems),
+        }
+
+    return nd_fold(d, combine)
 
 
 # Files in the table layout that proof_from_json rejects, each with a part

@@ -10,7 +10,6 @@ from connexive.formula import Imp, Neg, Or, Var, show
 from connexive.natded import (
     NdSystem,
     check_derivation,
-    end_formula,
     is_normal,
     open_assumptions,
 )
@@ -116,7 +115,7 @@ def test_6_bridge_soundness():
             assert rep.ok, rep.message()
             # a checker-valid derivation binds every labeled leaf, so its
             # open assumptions are exactly the unlabeled ones
-            assert proof.conclusion == Sequent(open_assumptions(d), end_formula(d))
+            assert proof.conclusion == Sequent(open_assumptions(d), d.formula)
     # backward: 200 prover-found cut-free proofs
     pairs = [
         (Calculus.SC, NdSystem.NC),
@@ -135,7 +134,7 @@ def test_6_bridge_soundness():
         rep = check_derivation(sys_id, d)
         assert rep.ok, rep.message()
         assert is_normal(d)
-        assert end_formula(d) == s.suc
+        assert d.formula == s.suc
         assert open_assumptions(d) <= s.ctx
         done += 1
 
@@ -153,12 +152,12 @@ def test_7_normalization():
         rep = check_derivation(sys_id, out)
         assert rep.ok, rep.message()
         assert is_normal(out)
-        assert end_formula(out) == end_formula(d)
+        assert out.formula == d.formula
         assert open_assumptions(out) <= open_assumptions(d)
         res = normalize_by_reduction(sys_id, d, max_steps=10_000)
         if res.completed:
             direct_ok += 1
-            assert end_formula(res.derivation) == end_formula(out)
+            assert res.derivation.formula == out.formula
     assert direct_ok >= 0.95 * len(corpus), f"{direct_ok}/{len(corpus)}"
 
 

@@ -14,8 +14,6 @@ from connexive.natded import (
     assumption,
     check_derivation,
     derivation_to_json,
-    derivation_to_obj,
-    end_formula,
     is_normal,
     open_assumptions,
 )
@@ -23,7 +21,7 @@ from connexive.prover import ResourceExceeded, SearchConfig, Verdict, decide, el
 from connexive.reduction import normalize_by_reduction
 from connexive.sequent import Calculus, Sequent, SequentProof, check_proof, seq
 
-from helpers import plant_detours, rand_derivation, rand_sequent, shared_or_chain
+from helpers import derivation_to_obj, plant_detours, rand_derivation, rand_sequent, shared_or_chain
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -119,7 +117,7 @@ def test_nd_to_sc_random():
             proof = nd_to_sc(sys_id, d)
             rep = check_proof(calc, proof)
             assert rep.ok, rep.message()
-            assert proof.conclusion == Sequent(oa_relevant(d), end_formula(d))
+            assert proof.conclusion == Sequent(oa_relevant(d), d.formula)
 
 
 def test_sc_to_nd_on_prover_proofs():
@@ -141,7 +139,7 @@ def test_sc_to_nd_on_prover_proofs():
             rep = check_derivation(sys_id, d)
             assert rep.ok, rep.message()
             assert is_normal(d)
-            assert end_formula(d) == s.suc
+            assert d.formula == s.suc
             assert oa_relevant(d) <= s.ctx
 
 
@@ -153,7 +151,7 @@ def test_sc_to_nd_gem():
     rep = check_derivation(NdSystem.NMC, d)
     assert rep.ok, rep.message()
     assert is_normal(d)
-    assert end_formula(d) == peirce
+    assert d.formula == peirce
 
 
 def test_roundtrip_provability():
@@ -164,7 +162,7 @@ def test_roundtrip_provability():
             d = rand_derivation(rng, sys_id, max_nodes=10)
             proof = nd_to_sc(sys_id, d)
             back = sc_to_nd(calc, eliminate_cut(calc, proof))
-            assert end_formula(back) == end_formula(d)
+            assert back.formula == d.formula
             assert oa_relevant(back) <= proof.conclusion.ctx
 
 
@@ -178,7 +176,7 @@ def test_normalize_pipeline():
             rep = check_derivation(sys_id, out)
             assert rep.ok, rep.message()
             assert is_normal(out)
-            assert end_formula(out) == end_formula(d)
+            assert out.formula == d.formula
             assert oa_relevant(out) <= oa_relevant(d)
 
 

@@ -56,15 +56,6 @@ def test_prove_budget_exhausted(capsys):
     assert code == 3
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CXK_BUDGET", "1")
-    code, _, _ = run(capsys, "prove", "smc", "((p -> q) -> p) -> p")
-    assert code == 3
-    monkeypatch.setenv("CXK_BUDGET", "junk")
-    code, _, _ = run(capsys, "prove", "sc", "p -> p")
-    assert code == 2
-
-
 def test_check_sc(capsys, tmp_path):
     code, out, _ = run(capsys, "prove", "sc", "~(p -> ~p)")
     path = tmp_path / "proof.json"

@@ -4,10 +4,10 @@ import sys
 import pytest
 
 from connexive.embedding import embed_check, embed_check_cn, translate_f, translate_sequent
-from connexive.formula import Imp, Neg, Or, Var, has_negation, parse, show, size
+from connexive.formula import Imp, Neg, Or, Var, parse, show
 from connexive.sequent import seq
 
-from helpers import rand_formula, rand_sequent
+from helpers import has_negation, rand_formula, rand_sequent, size
 
 p, q = Var("p"), Var("q")
 

@@ -12,19 +12,14 @@ from connexive.formula import (
     Or,
     ParseError,
     Var,
-    atoms,
     closure_set,
-    has_negation,
-    has_primed,
     key,
     parse,
     pending,
     show,
-    size,
-    subformulas,
 )
 
-from helpers import rand_formula
+from helpers import atoms, has_negation, has_primed, rand_formula, size, subformulas
 
 p, q, r = Var("p"), Var("q"), Var("r")
 

@@ -22,9 +22,7 @@ from connexive.natded import (
     check_derivation,
     derivation_from_json,
     derivation_to_json,
-    derivation_to_obj,
     discharge_labels,
-    end_formula,
     is_normal,
     max_label,
     maximum_formulas,
@@ -38,7 +36,7 @@ from connexive.bridge import nd_to_sc
 from connexive.reduction import reduce_step
 from connexive.sequent import RULES_OF, Calculus, Sequent, check_proof
 
-from helpers import bind_open, mutated_derivations, rand_derivation
+from helpers import bind_open, derivation_to_obj, mutated_derivations, rand_derivation
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -51,7 +49,7 @@ def test_identity_derivation():
     d = imp_intro(assumption(p), p, 1)
     rep = check_derivation(NdSystem.NC, d)
     assert rep.ok, rep.message()
-    assert end_formula(d) == Imp(p, p)
+    assert d.formula == Imp(p, p)
     assert open_assumptions(d) == frozenset()
     assert is_normal(d)
 
@@ -68,7 +66,7 @@ def test_aristotle_derivation():
 def test_vacuous_discharge():
     d = imp_intro(assumption(q), p, 1)
     assert check_derivation(NdSystem.NC, d).ok
-    assert end_formula(d) == Imp(p, q)
+    assert d.formula == Imp(p, q)
     assert open_assumptions(d) == frozenset({q})
 
 

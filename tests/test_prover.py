@@ -9,7 +9,7 @@ import pytest
 
 import connexive
 
-from connexive.formula import And, Imp, Neg, Or, Var, atoms
+from connexive.formula import And, Imp, Neg, Or, Var
 from connexive.prover import (
     ResourceExceeded,
     SearchConfig,
@@ -39,7 +39,7 @@ from connexive.sequent import (
     shape,
 )
 
-from helpers import brute_force_sc3, rand_formula, rand_sequent, reference_proof_to_obj
+from helpers import atoms, brute_force_sc3, rand_formula, rand_sequent, reference_proof_to_obj
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -305,8 +305,8 @@ import connexive.prover as prover
 from connexive.sequent import Calculus, parse_sequent
 
 assert False, "assertions are on"
-build = prover._Search._build_universe
-prover._Search._build_universe = lambda self, goal: build(self, goal) - goal.ctx
+build = prover.closure
+prover.closure = lambda goal, add_negations: build(goal, add_negations) - goal.ctx
 try:
     prover.decide(Calculus.SC, parse_sequent("p & q => p"), prover.SearchConfig(memo=False))
 except RuntimeError as e:
@@ -334,8 +334,8 @@ from connexive.formula import parse
 from connexive.sequent import Calculus, parse_sequent
 
 assert False, "assertions are on"
-build = prover._Search._build_universe
-prover._Search._build_universe = lambda calc, goal: build(calc, goal) - {parse("p & q")}
+build = prover.closure
+prover.closure = lambda goal, add_negations: build(goal, add_negations) - {parse("p & q")}
 try:
     prover.decide(Calculus.SC, parse_sequent("(p & q) & r => r"))
 except RuntimeError as e:

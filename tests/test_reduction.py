@@ -10,7 +10,6 @@ from connexive.natded import (
     NdSystem,
     assumption,
     check_derivation,
-    end_formula,
     is_normal,
     maximum_formulas,
     open_assumptions,
@@ -113,7 +112,7 @@ def test_perm_or_e():
     assert classify(d, at) is ReductionKind.PERM_OR_E
     out = reduce_step(NdSystem.NC, d, at)
     assert out.rule is NdRule.OR_E
-    assert end_formula(out) == p
+    assert out.formula == p
     assert out.premises[1].rule is NdRule.AND_E1
     assert out.premises[2].rule is NdRule.AND_E1
     rep = check_derivation(NdSystem.NC, out)
@@ -130,7 +129,7 @@ def test_perm_em():
     at = first_max(d)
     assert classify(d, at) is ReductionKind.PERM_EM
     out = reduce_step(NdSystem.NC3, d, at)
-    assert out.rule is NdRule.EM and end_formula(out) == q
+    assert out.rule is NdRule.EM and out.formula == q
     assert check_derivation(NdSystem.NC3, out).ok
 
 
@@ -150,7 +149,7 @@ def test_normalize_by_reduction_random():
             res = normalize_by_reduction(sys_id, d, max_steps=10_000)
             assert res.completed, f"stuck after {res.steps} steps"
             assert is_normal(res.derivation)
-            assert end_formula(res.derivation) == end_formula(d)
+            assert res.derivation.formula == d.formula
             assert open_assumptions(res.derivation) <= open_assumptions(d)
             rep = check_derivation(sys_id, res.derivation)
             assert rep.ok, rep.message()
@@ -188,6 +187,6 @@ def test_reduction_preserves_end_formula_stepwise():
         d = plant_detours(rng, NdSystem.NCN, base, 2)
         while maximum_formulas(d):
             nxt = reduce_step(NdSystem.NCN, d, maximum_formulas(d)[0])
-            assert end_formula(nxt) == end_formula(d)
+            assert nxt.formula == d.formula
             assert open_assumptions(nxt) <= open_assumptions(d)
             d = nxt
