@@ -152,19 +152,20 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
         raise InvalidProof(rep)
     if calc in STARRED:
         calc = STARRED[calc]
-        p = _rederive(calc, p.conclusion, cfg)
-    return _sc_to_nd(calc, p, cfg)
-
-
-def _sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None) -> Derivation:
-    """sc_to_nd of a checked proof p in a calculus of PAIRED_SYSTEM,
-    without the input check: the output is still checked."""
-    if not p.is_cut_free():
+        found = _rederive(calc, p.conclusion, cfg)
+        return _sc_to_nd(calc, found.proof, found.stats.proof_size, cfg)
+    if not rep.cut_free:
         raise ValueError("input proof contains cut")
+    return _sc_to_nd(calc, p, rep.tree_size, cfg)
+
+
+def _sc_to_nd(calc: Calculus, p: SequentProof, size: int, cfg: SearchConfig | None) -> Derivation:
+    """sc_to_nd of a checked cut-free proof p in a calculus of
+    PAIRED_SYSTEM, whose size as a tree is size, without the input
+    check: the output is still checked."""
     # ND derivations are trees: the translation walks the proof's tree
     # expansion, which sharing can make exponentially larger than the DAG
     budget = (cfg or SearchConfig()).node_budget
-    size = p.node_count()
     if size > budget:
         raise ResourceExceeded(
             SearchStats(0, 0, 0.0),
@@ -240,10 +241,11 @@ def normalize(sys_id: NdSystem, d: Derivation, cfg: SearchConfig | None = None) 
     calc = PAIRED_CALCULUS[sys_id]
     oa = open_assumptions(d)
     if _has_elimination(d):
-        proof = _rederive(calc, Sequent(oa, d.formula), cfg)
-    else:
-        proof = recurse(_to_sc(d, oa, discharged_leaves(d)))
-    return _sc_to_nd(calc, proof, cfg)
+        found = _rederive(calc, Sequent(oa, d.formula), cfg)
+        return _sc_to_nd(calc, found.proof, found.stats.proof_size, cfg)
+    # only an elimination translates to a cut, so this proof is cut-free
+    proof = recurse(_to_sc(d, oa, discharged_leaves(d)))
+    return _sc_to_nd(calc, proof, proof.node_count(), cfg)
 
 
 def _has_elimination(d: Derivation) -> bool:

@@ -8,10 +8,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A checker's verdict.  A failure names the first failing node: its
+    path of premise indices from the root, its rule and the reason.  A
+    valid sequent proof's report also says whether the proof is cut-free
+    and gives its depth and its size as a tree, from the checking walk;
+    these are None in every other report."""
+
     ok: bool
     path: tuple[int, ...] = ()
     rule: str | None = None
     reason: str | None = None
+    cut_free: bool | None = None
+    depth: int | None = None
+    tree_size: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok

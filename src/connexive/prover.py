@@ -34,6 +34,14 @@ the goal's formulas are checked when it is built, and then each rule
 instance's added formulas and succedent, since a premise inherits the
 rest from its node.
 
+Every proof decide returns is certified by one walk, check_proof's fold
+(_certify): its report says whether the proof is valid and cut-free,
+and gives the depth and tree size that SearchStats reports, so nothing
+walks the proof again.  Both failures raise explicitly, so they hold
+under python -O.  A starred decide certifies twice: the unstarred
+search's proof, inside the nested decide, and then the rewritten proof
+it returns.
+
 separation_matrix decides a row along the inclusions of the calculi's
 rule sets: a proof in a calculus is one in every calculus with more
 rules, and a negative holds in every calculus with fewer, so a row that
@@ -63,11 +71,11 @@ in.  (Peirce) principals are built once per succedent.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
-from .checking import InvalidProof
+from .checking import CheckReport, InvalidProof
 from .formula import (
     And,
     Formula,
@@ -107,9 +115,16 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SearchStats:
+    """nodes_expanded and wall_time are the search's.  max_depth is the
+    depth of the proof found, read off its certification (of the
+    unstarred proof, for a starred calculus), or the deepest node
+    expanded when there is none.  proof_size is the returned proof's
+    size as a tree, from its certification, and 0 without a proof."""
+
     nodes_expanded: int
     max_depth: int
     wall_time: float
+    proof_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,10 +196,8 @@ def decide(
         if inner.verdict is not Verdict.PROVABLE:
             return inner
         proof = _destar(inner.proof)
-        rep = check_proof(calc, proof)
-        if not rep.ok:
-            raise InvalidProof(rep)
-        return ProveResult(Verdict.PROVABLE, proof, inner.stats)
+        rep = _certify(calc, proof)
+        return ProveResult(Verdict.PROVABLE, proof, replace(inner.stats, proof_size=rep.tree_size))
 
     t0 = time.perf_counter()
     search = _Search(calc, cfg, analysis)
@@ -197,15 +210,24 @@ def decide(
         )
     wall = time.perf_counter() - t0
     if proof is not None:
-        rep = check_proof(calc, proof)
-        if not rep.ok:
-            raise InvalidProof(rep)
-        if not proof.is_cut_free():
-            raise RuntimeError("proof search emitted a proof with cut")
+        rep = _certify(calc, proof)
         return ProveResult(
-            Verdict.PROVABLE, proof, SearchStats(search.nodes, proof.depth(), wall)
+            Verdict.PROVABLE, proof, SearchStats(search.nodes, rep.depth, wall, rep.tree_size)
         )
     return ProveResult(Verdict.UNPROVABLE, None, SearchStats(search.nodes, search.max_depth, wall))
+
+
+def _certify(calc: Calculus, proof: SequentProof) -> CheckReport:
+    """The report of the one walk that certifies a proof decide returns:
+    valid, and cut-free.  Both are explicit raises, so they hold under
+    python -O.  check_proof is looked up here, in prover, where the
+    benchmark's spans count it as certification."""
+    rep = check_proof(calc, proof)
+    if not rep.ok:
+        raise InvalidProof(rep)
+    if not rep.cut_free:
+        raise RuntimeError("proof search emitted a proof with cut")
+    return rep
 
 
 def _destar(proof: SequentProof) -> SequentProof:
@@ -640,24 +662,26 @@ class _Search:
 
 def eliminate_cut(calc: Calculus, proof: SequentProof, cfg: SearchConfig | None = None) -> SequentProof:
     """Checker-valid cut-free proof of the same conclusion, by re-derivation.
-    Already-cut-free input is returned unchanged."""
+    Already-cut-free input is returned unchanged: the check's report
+    says whether it is, with no second walk."""
     rep = check_proof(calc, proof)
     if not rep.ok:
         raise InvalidProof(rep)
-    if proof.is_cut_free():
+    if rep.cut_free:
         return proof
-    return _rederive(calc, proof.conclusion, cfg)
+    return _rederive(calc, proof.conclusion, cfg).proof
 
 
-def _rederive(calc: Calculus, s: Sequent, cfg: SearchConfig | None) -> SequentProof:
-    """The cut-free proof of s that decide finds, for a sequent the caller
-    knows to be provable in calc: decide has checked it."""
+def _rederive(calc: Calculus, s: Sequent, cfg: SearchConfig | None) -> ProveResult:
+    """decide's result on s, for a sequent the caller knows to be provable
+    in calc: its proof is checked and cut-free, and its stats give the
+    proof's tree size."""
     result = decide(calc, s, cfg)
     if result.verdict is Verdict.RESOURCE_EXCEEDED:
         raise ResourceExceeded(result.stats)
     if result.verdict is Verdict.UNPROVABLE:
         raise RuntimeError("cut admissibility violated: no cut-free re-derivation found")
-    return result.proof
+    return result
 
 
 _MATRIX_CALCULI = (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN)

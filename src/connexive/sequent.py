@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Generator, Iterable, TypeVar
 
-from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
+from .checking import CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
 
 
@@ -229,6 +229,12 @@ LEFT_RULES = frozenset({
 _SPLIT_RULES = frozenset({Rule.CUT, Rule.IMP_LEFT, Rule.NEG_IMP_LEFT})
 # the rules whose principal need be neither in the conclusion nor a part of it
 _FREE_RULES = frozenset({Rule.CUT, Rule.EX_MIDDLE, Rule.PEIRCE, Rule.G_EX_MIDDLE, Rule.P_EX_MIDDLE})
+# what the checker reads of each rule, in one lookup: (arity, right rule,
+# left rule, schema or None for the axioms, split contexts)
+_CHECKS = {
+    rule: (ARITY[rule], rule in RIGHT_RULES, rule in LEFT_RULES, SCHEMAS.get(rule), rule in _SPLIT_RULES)
+    for rule in Rule
+}
 
 
 @dataclass(frozen=True)
@@ -379,9 +385,13 @@ def recurse(gen: Generator) -> T:
 def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     """Accept iff every node instantiates a rule schema of calc under set
     semantics and every formula is in calc's language; on failure
-    pinpoint the first failing node (pre-order).  Each distinct node is
-    checked once; the path to a failure is built bottom-up, so it names
-    the first failing occurrence in the tree.
+    pinpoint the first failing node (pre-order).  This is the one walk
+    that certifies a proof: each distinct node is checked once, in one
+    fold, and the path to a failure is built bottom-up, so it names the
+    first failing occurrence in the tree.  A valid report also carries
+    what the same fold finds out about the proof as a tree: cut_free,
+    depth and tree_size (is_cut_free(), depth() and node_count(), with
+    no walk of their own).
 
     The language is checked on the root's formulas and on each free
     principal (that of cut, ex_middle, peirce, g_ex_middle, p_ex_middle,
@@ -398,99 +408,121 @@ def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     reason = language_error(calc, (*root.ctx, root.suc), seen)
     if reason is not None:
         return CheckReport(False, (), proof.rule.value, reason)
+    cut_free = True
 
-    def combine(node: SequentProof, subs: list[CheckReport]) -> CheckReport:
+    # a valid node's value is (depth, tree size), an invalid one's its report
+    def combine(node: SequentProof, subs: list) -> tuple[int, int] | CheckReport:
+        nonlocal cut_free
         reason = _node_error(calc, node)
-        if reason is None and node.rule in _FREE_RULES:
+        rule = node.rule
+        if reason is None and rule in _FREE_RULES:
+            if rule is Rule.CUT:
+                cut_free = False
             phi = node.principal if node.principal is not None else node.premises[0].conclusion.suc
-            reason = language_error(calc, (phi,), seen)
-            if reason is not None:
-                seen.clear()  # so a later walk cannot skip what this one found
+            if id(phi) not in seen:
+                reason = language_error(calc, (phi,), seen)
+                if reason is not None:
+                    seen.clear()  # so a later walk cannot skip what this one found
         if reason is not None:
-            return CheckReport(False, (), node.rule.value, reason)
-        for i, rep in enumerate(subs):
-            if not rep.ok:
-                return CheckReport(False, (i,) + rep.path, rep.rule, rep.reason)
-        return ACCEPT
+            return CheckReport(False, (), rule.value, reason)
+        depth = size = 0
+        for i, sub in enumerate(subs):
+            if type(sub) is CheckReport:
+                return CheckReport(False, (i, *sub.path), sub.rule, sub.reason)
+            if sub[0] > depth:
+                depth = sub[0]
+            size += sub[1]
+        return depth + 1, size + 1
 
-    return fold(proof, combine)
-
-
-def _shared_ok(c: frozenset, phi: Formula | None, prems, specs) -> bool:
-    """Rules with one shared context Gamma.  specs: [(active set, succedent)].
-    Gamma is read off the conclusion: c minus the principal, or c itself
-    (the principal may also occur in Gamma)."""
-    cands = [c] if phi is None else [c - {phi}, c]
-    for gamma in cands:
-        if all(p.ctx == frozenset(a) | gamma and p.suc == s for p, (a, s) in zip(prems, specs)):
-            return True
-    return False
+    out = fold(proof, combine)
+    if type(out) is CheckReport:
+        return out
+    return CheckReport(True, cut_free=cut_free, depth=out[0], tree_size=out[1])
 
 
-def _split_ok(c: frozenset, head: frozenset, prems, specs) -> bool:
-    """Two-context rules (cut, -> left, ~-> left): premise1 owns Gamma,
-    premise2 owns Delta; each premise context may keep its active
-    formulas, and head (the principal, if any) joins them below."""
-    parts = []
-    for p, (a, s) in zip(prems, specs):
-        a = frozenset(a)
-        if p.suc != s or not a <= p.ctx:
-            return False
-        parts.append((p.ctx - a, p.ctx))
-    return any(c == head | gamma | delta for gamma in parts[0] for delta in parts[1])
+def _split_ok(c: frozenset, phi: Formula | None, prems: tuple, specs: list) -> bool:
+    """Two-context rules (cut, -> left, ~-> left): premise 1 owns Gamma,
+    premise 2 owns Delta; each premise context may keep its active
+    formulas A1, A2, and phi (a left rule's principal) joins them below.
+    So c is core, the premise contexts less their active formulas with
+    phi, plus none, either or both of A1 and A2."""
+    (a1, g1), (a2, g2) = specs
+    q1, q2 = prems[0].conclusion, prems[1].conclusion
+    if not (q1.suc is g1 or q1.suc == g1) or not (q2.suc is g2 or q2.suc == g2):
+        return False
+    if not (q1.ctx.issuperset(a1) and q2.ctx.issuperset(a2)):
+        return False
+    core = q1.ctx.difference(a1) | q2.ctx.difference(a2)
+    if phi is not None:
+        core = core | {phi}
+    return c == core or c == core.union(a1) or c == core.union(a2) or c == core.union(a1, a2)
 
 
 def _node_error(calc: Calculus, node: SequentProof) -> str | None:
     rule = node.rule
     if rule not in RULES_OF[calc]:
         return f"rule not in calculus {calc.value}"
-    if len(node.premises) != ARITY[rule]:
-        return f"arity mismatch: {rule.value} takes {ARITY[rule]} premises, got {len(node.premises)}"
+    arity, right, left, schema, split = _CHECKS[rule]
+    prems = node.premises
+    if len(prems) != arity:
+        return f"arity mismatch: {rule.value} takes {arity} premises, got {len(prems)}"
     c, g = node.conclusion.ctx, node.conclusion.suc
     phi = node.principal
 
-    if rule is Rule.INIT1:
-        if not isinstance(g, Var):
-            return "init1 succedent must be an atom"
-        if g not in c:
-            return "init1 atom missing from context"
-        return None if phi is None else _no_principal(rule)
-    if rule is Rule.INIT2:
-        if not (isinstance(g, Neg) and isinstance(g.body, Var)):
-            return "init2 succedent must be a negated atom"
-        if g not in c:
-            return "init2 formula missing from context"
+    if schema is None:
+        if rule is Rule.INIT1:
+            if type(g) is not Var:
+                return "init1 succedent must be an atom"
+            if g not in c:
+                return "init1 atom missing from context"
+        else:
+            if not (type(g) is Neg and type(g.body) is Var):
+                return "init2 succedent must be a negated atom"
+            if g not in c:
+                return "init2 formula missing from context"
         return None if phi is None else _no_principal(rule)
 
-    prems = [p.conclusion for p in node.premises]
-    left = rule in LEFT_RULES
-    right = not left and rule in RIGHT_RULES
-    if right and phi is not None:
-        return _no_principal(rule)
-    if phi is None and rule is Rule.CUT:
-        phi = prems[0].suc  # an unnamed cut formula is the first premise's succedent
-    if phi is None and not right:
-        return "principal formula required"
-    specs = SCHEMAS[rule](g, phi)
+    if right:
+        if phi is not None:
+            return _no_principal(rule)
+    elif phi is None:
+        if rule is not Rule.CUT:
+            return "principal formula required"
+        phi = prems[0].conclusion.suc  # an unnamed cut formula is the first premise's succedent
+    specs = schema(g, phi)
     if specs is None:
         return f"{'succedent' if right else 'principal'} does not fit the {rule.value} schema"
     if left and phi not in c:
         return "principal missing from context"
-    if rule in _SPLIT_RULES:
-        ok = _split_ok(c, frozenset({phi}) if left else frozenset(), prems, specs)
+    if split:
+        ok = _split_ok(c, phi if left else None, prems, specs)
     else:
-        ok = _shared_ok(c, phi if left else None, prems, specs)
+        # one shared context Gamma, read off the conclusion: c itself, or
+        # c less a left rule's principal (which may also occur in Gamma)
+        ok = _shared_ok(c, prems, specs) or (left and _shared_ok(c - {phi}, prems, specs))
     return None if ok else f"premises do not match the {rule.value} schema"
+
+
+def _shared_ok(gamma: frozenset, prems: tuple, specs: list) -> bool:
+    """Whether each premise has the succedent of its spec (a, g) and the
+    context gamma plus a."""
+    for p, (a, g) in zip(prems, specs):
+        q = p.conclusion
+        # `is` first here and in _split_ok: == on formulas is a Python call
+        if not (q.suc is g or q.suc == g) or q.ctx != (gamma.union(a) if a else gamma):
+            return False
+    return True
 
 
 def _no_principal(rule: Rule) -> str:
     return f"{rule.value} takes no principal formula"
 
 
-def _require_valid(calc: Calculus, proof: SequentProof) -> None:
+def _require_valid(calc: Calculus, proof: SequentProof) -> CheckReport:
     rep = check_proof(calc, proof)
     if not rep.ok:
         raise InvalidProof(rep)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +534,7 @@ def weaken_proof(calc: Calculus, proof: SequentProof, extra: Iterable[Formula]) 
     extra = frozenset(extra)
     if (reason := language_error(calc, extra)) is not None:
         raise ValueError(reason)
-    _require_valid(calc, proof)
-    if not proof.is_cut_free():
+    if not _require_valid(calc, proof).cut_free:
         raise InvalidProof(CheckReport(False, (), proof.rule.value, "input contains cut"))
     return _weaken(proof, extra)
 

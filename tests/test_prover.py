@@ -37,6 +37,7 @@ from connexive.sequent import (
     proof_to_json,
     seq,
     shape,
+    weaken_proof,
 )
 
 from helpers import atoms, brute_force_sc3, rand_formula, rand_sequent, reference_proof_to_obj
@@ -297,6 +298,69 @@ def test_decide_rechecks_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert "init1 succedent must be an atom" in out.stdout
+
+
+# decide's cut-freeness guard reads the check's report, and is explicit too
+_CUT_SEARCH = """
+import connexive.prover as prover
+from connexive.sequent import Calculus, Rule, SequentProof, check_proof, parse_sequent
+
+assert False, "assertions are on"
+s = parse_sequent("p => p")
+axiom = SequentProof(s, Rule.INIT1)
+cut = SequentProof(s, Rule.CUT, s.suc, (axiom, axiom))
+if not check_proof(Calculus.SC, cut).ok:
+    raise SystemExit("the planted proof is not valid")
+prover._Search.dfs = lambda self, s, depth: (cut, prover._NO_DEP)
+try:
+    prover.decide(Calculus.SC, s, prover.SearchConfig(memo=False))
+except RuntimeError as e:
+    print(e)
+else:
+    raise SystemExit("a proof with cut was returned")
+"""
+
+
+def test_decide_rejects_cut_under_optimize():
+    src = os.path.dirname(os.path.dirname(connexive.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CUT_SEARCH], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "proof search emitted a proof with cut" in out.stdout
+
+
+def test_one_walk_certifies_each_proof(monkeypatch):
+    """An unstarred decide, eliminate_cut on a cut-free proof, weaken_proof
+    and sc_to_nd each walk the proof they certify once, in check_proof's
+    fold, and read cut-freeness, depth and tree size off its report."""
+    import connexive.bridge as bridge
+    import connexive.prover as prover
+    import connexive.sequent as sequent
+
+    walks = []
+    real = sequent.fold
+
+    def counting(proof, combine):
+        walks.append((combine.__qualname__.partition(".<locals>")[0], id(proof)))
+        return real(proof, combine)
+
+    for module in (sequent, prover):
+        monkeypatch.setattr(module, "fold", counting)
+    res = decide(Calculus.SC, parse_sequent("p & (q | ~r) => (p & q) | ~(~p -> r)"))
+    proof = res.proof
+    assert walks == [("check_proof", id(proof))]
+    assert (res.stats.max_depth, res.stats.proof_size) == (proof.depth(), proof.node_count())
+
+    for call, owners in (
+        (lambda: eliminate_cut(Calculus.SC, proof), ["check_proof"]),
+        (lambda: weaken_proof(Calculus.SC, proof, {r}), ["check_proof", "_weaken"]),
+        (lambda: bridge.sc_to_nd(Calculus.SC, proof), ["check_proof"]),
+    ):
+        walks.clear()
+        call()
+        assert walks == [(owner, id(proof)) for owner in owners]
 
 
 # the universe-escape check in _Search._emit is explicit too

@@ -9,6 +9,7 @@ from connexive.checking import InvalidProof
 from connexive.formula import And, Imp, Neg, Or, Var, show
 from connexive.sequent import (
     ARITY,
+    CONNEXIVE_CALCULI,
     RULES_OF,
     SCHEMAS,
     Calculus,
@@ -33,6 +34,7 @@ from helpers import (
     and_left_tower,
     mutated_proofs,
     rand_formula,
+    rand_sequent,
     reference_proof_to_obj,
     shared_or_chain,
 )
@@ -169,11 +171,22 @@ def test_arity_mismatch():
     assert not check_proof(Calculus.SC, proof).ok
 
 
+def cut_proofs() -> list[SequentProof]:
+    """Valid sc proofs with cuts: a cut on p over two axioms, the same cut
+    unnamed, and a cut on r & r whose first premise takes the first cut
+    twice, as one shared object."""
+    named = SequentProof(seq([q, p, r], r), Rule.CUT, p, (leaf(Rule.INIT1, [q, p], p), leaf(Rule.INIT1, [p, r], r)))
+    unnamed = dataclasses.replace(named, principal=None)
+    rr = And(r, r)
+    both = SequentProof(seq([q, p, r], rr), Rule.AND_RIGHT, None, (named, named))
+    use = SequentProof(seq([q, p, r, rr], r), Rule.AND_LEFT, rr, (leaf(Rule.INIT1, [q, p, r, rr], r),))
+    outer = SequentProof(seq([q, p, r], r), Rule.CUT, rr, (both, use))
+    return [named, unnamed, outer]
+
+
 def test_cut_node():
     # cut on p: (=> is not derivable here, use contexts) p => p and p => p
-    prem1 = leaf(Rule.INIT1, [q, p], p)
-    prem2 = leaf(Rule.INIT1, [p, r], r)
-    proof = SequentProof(seq([q, p, r], r), Rule.CUT, p, (prem1, prem2))
+    proof = cut_proofs()[0]
     assert check_proof(Calculus.SC, proof).ok
     assert not proof.is_cut_free()
 
@@ -387,6 +400,43 @@ def test_check_proof_once_per_distinct_node(item2_smc, monkeypatch):
     assert check_proof(Calculus.SMC, item2_smc).ok
     assert len(calls) == distinct_nodes(item2_smc) == 241
     assert item2_smc.node_count() > 10**6
+
+
+def test_check_report_carries_cut_freeness_depth_and_tree_size(item2_smc):
+    """A valid report's cut_free, depth and tree_size, from the checking
+    fold, are what is_cut_free(), depth() and node_count() compute with
+    walks of their own: on the 41-level shared chain and the item-2 smc
+    proof, whose trees have 2^41 - 1 and over 10^6 nodes, on proofs with
+    cuts, and on 200 proofs that decide finds, whose stats read the same
+    figures."""
+
+    def facts(proof):
+        return proof.is_cut_free(), proof.depth(), proof.node_count()
+
+    cases = [(Calculus.SC, shared_or_chain(40)), (Calculus.SMC, item2_smc)]
+    cases += [(Calculus.SC, proof) for proof in cut_proofs()]
+    assert facts(cases[0][1]) == (True, 41, 2**41 - 1)
+    assert facts(item2_smc)[2] > 10**6
+    assert {facts(proof)[0] for _, proof in cases[2:]} == {False}
+    rng = random.Random(71)
+    found = 0
+    while found < 200:
+        s = rand_sequent(rng, 8)
+        calc = rng.choice(sorted(CONNEXIVE_CALCULI))
+        res = decide(calc, s, SearchConfig(node_budget=20_000))
+        if res.proof is not None:
+            found += 1
+            cases.append((calc, res.proof))
+            assert res.stats.proof_size == res.proof.node_count()
+            if calc not in (Calculus.SMC_STAR, Calculus.SCN_STAR):
+                assert res.stats.max_depth == res.proof.depth()
+    for calc, proof in cases:
+        rep = check_proof(calc, proof)
+        assert rep.ok, rep.message()
+        assert (rep.cut_free, rep.depth, rep.tree_size) == facts(proof)
+    # an invalid proof's report has none of them
+    rep = check_proof(Calculus.SC, leaf(Rule.INIT1, [q], p))
+    assert not rep.ok and (rep.cut_free, rep.depth, rep.tree_size) == (None, None, None)
 
 
 def test_json_roundtrip_shared_search_proof(item2_smc):
