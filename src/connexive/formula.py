@@ -5,15 +5,18 @@ The connexive language has atoms, & (conjunction), | (disjunction),
 disjoint namespace used only by the negation-eliminating translation
 into the positive intuitionistic target language.
 
-Formulas are immutable trees.  Each node stores its hash, computed once
-at construction from its children's stored hashes, and its ASCII text,
+Formulas are immutable trees, whose equal parts may be one object (see
+parse's parts).  Each node stores its hash, computed once by its
+constructor from the constructor's arguments, and its ASCII text,
 filled in by show() on first use; so hashing a formula and sorting by
 key() cost O(1) however deep it is.  The stored hash equals the hash of
 the tuple of the node's fields, e.g. hash(And(a, b)) == hash((a, b)),
 which is what a frozen dataclass computes: set and dict iteration order,
 and with it search order and proof output, do not depend on the stored
-hash being there.  The node classes are dataclasses built with eq=False
-and repr=False, so they share Formula's __hash__, its structural __eq__,
+hash being there.  The node classes are frozen dataclasses with slots,
+built with init=False, eq=False and repr=False: each has an __init__
+that writes its slots through their descriptors, past the frozen
+__setattr__, and they share Formula's __hash__, its structural __eq__,
 which walks both formulas with its own stack, and its __repr__, which
 gives the class name and the text.  The walks that build something per
 subformula (show, the translation f, the prover's tables) take their
@@ -41,9 +44,6 @@ class ParseError(ValueError):
         super().__init__(detail)
         self.offset = offset
         self.expected = expected
-
-
-_set = object.__setattr__  # fills the stored fields of a frozen node
 
 
 class Formula:
@@ -96,50 +96,79 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+# A slot's __set__ writes a field of a frozen node without going through
+# the __setattr__ that freezes it.
+_set_hash, _set_text = Formula._hash.__set__, Formula._text.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Var(Formula):
     name: str
     primed: bool = False
 
-    def __post_init__(self):
-        if not _ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
-        _set(self, "_hash", hash((self.name, self.primed)))
+    def __init__(self, name: str, primed: bool = False):
+        if not _ATOM_RE.fullmatch(name):
+            raise ValueError(f"bad atom name: {name!r}")
+        _set_name(self, name)
+        _set_primed(self, primed)
+        _set_hash(self, hash((name, primed)))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+_set_name, _set_primed = Var.name.__set__, Var.primed.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: Formula, right: Formula):
+        _set_and_left(self, left)
+        _set_and_right(self, right)
+        _set_hash(self, hash((left, right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+_set_and_left, _set_and_right = And.left.__set__, And.right.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: Formula, right: Formula):
+        _set_or_left(self, left)
+        _set_or_right(self, right)
+        _set_hash(self, hash((left, right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+_set_or_left, _set_or_right = Or.left.__set__, Or.right.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: Formula, right: Formula):
+        _set_imp_left(self, left)
+        _set_imp_right(self, right)
+        _set_hash(self, hash((left, right)))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+_set_imp_left, _set_imp_right = Imp.left.__set__, Imp.right.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Neg(Formula):
     body: Formula
 
-    def __post_init__(self):
-        _set(self, "_hash", hash((self.body,)))
+    def __init__(self, body: Formula):
+        _set_body(self, body)
+        _set_hash(self, hash((body,)))
+
+
+_set_body = Neg.body.__set__
 
 
 def pending(phi: Formula, known: Callable[[Formula], bool]) -> list[Formula]:
@@ -188,7 +217,7 @@ def show(phi: Formula) -> str:
         else:
             # right-associative: right child keeps ->-chains unparenthesized
             text = _sub(f.left, _PREC_IMP + 1) + " -> " + _sub(f.right, _PREC_IMP)
-        _set(f, "_text", text)
+        _set_text(f, text)
     return phi._text
 
 
@@ -235,8 +264,15 @@ _OPERAND = ("~", "(", "atom")
 _BINARY = {"&": (_PREC_AND, And), "|": (_PREC_OR, Or), "imp": (_PREC_IMP, Imp)}
 
 
-def parse(text: str, allow_primed: bool = False) -> Formula:
+def parse(text: str, allow_primed: bool = False, *, parts: dict[Formula, Formula] | None = None) -> Formula:
     """Parse a formula; primed atoms (p') only with allow_primed.
+
+    parts is the caller's table of the formulas read so far, each mapped
+    to itself.  Each node built here is swapped for the equal one in
+    parts, or entered there; so the formulas one table sees share their
+    equal parts, and == on them settles by identity at the first shared
+    part.  A reader passes one table per file; without one, nothing is
+    shared.
 
     One loop over the tokens, with a stack of pending operators: Neg for
     a ~, None for a (, and (precedence, class, left operand) for a binary
@@ -245,6 +281,7 @@ def parse(text: str, allow_primed: bool = False) -> Formula:
     applies all of them down to its (."""
     if not text.strip():
         raise ParseError("empty input", 0, _OPERAND)
+    share = None if parts is None else parts.setdefault
     stack: list = []
     f = None  # the operand just read; None where an operand is expected
     for kind, tok, pos in _tokenize(text):
@@ -258,12 +295,16 @@ def parse(text: str, allow_primed: bool = False) -> Formula:
             if primed and not allow_primed:
                 raise ParseError("primed atom outside embedding-target mode", pos)
             f = Var(tok.rstrip("'"), primed)
+            if share:
+                f = share(f, f)
         else:
             prec, cls = _BINARY.get(kind, (_PREC_IMP, None))
             least = prec + 1 if cls is Imp else prec  # -> groups to the right
             while stack and type(stack[-1]) is tuple and stack[-1][0] >= least:
                 _, op, left = stack.pop()
                 f = op(left, f)
+                if share:
+                    f = share(f, f)
             if cls is not None:
                 stack.append((prec, cls, f))
                 f = None
@@ -279,6 +320,8 @@ def parse(text: str, allow_primed: bool = False) -> Formula:
         while stack and stack[-1] is Neg:
             stack.pop()
             f = Neg(f)
+            if share:
+                f = share(f, f)
     raise AssertionError("the token list ends with eof")
 
 

@@ -127,17 +127,36 @@ _ELIMS = {
 }
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Derivation:
     """A derivation node.  Equality is that of the derivations as trees,
     decided without recursion (sequent.same_dag); the hash and repr read
-    the node alone."""
+    the node alone.  The constructor writes the slots directly, past the
+    frozen __setattr__."""
 
     rule: NdRule
     formula: Formula
     premises: tuple["Derivation", ...] = ()
     discharge: int | None = None  # label this node discharges
     label: int | None = None  # assumption leaves only: binding label
+
+    def __init__(
+        self,
+        rule: NdRule,
+        formula: Formula,
+        premises: tuple = (),
+        discharge: int | None = None,
+        label: int | None = None,
+    ):
+        _set_rule(self, rule)
+        _set_formula(self, formula)
+        _set_premises(self, premises)
+        _set_discharge(self, discharge)
+        _set_label(self, label)
+
+    def __reduce__(self):
+        # rebuilt by the constructor, as sequent.SequentProof is
+        return Derivation, (self.rule, self.formula, self.premises, self.discharge, self.label)
 
     def own(self) -> tuple:
         """What the node holds besides its premises."""
@@ -164,6 +183,11 @@ class Derivation:
                 raise ValueError(f"no node at path {'.'.join(map(str, path))}")
             node = node.premises[i]
         return node
+
+
+_set_rule, _set_formula, _set_premises, _set_discharge, _set_label = (
+    getattr(Derivation, name).__set__ for name in Derivation.__match_args__
+)
 
 
 def assumption(phi: Formula, label: int | None = None) -> Derivation:
@@ -599,11 +623,12 @@ def replace_at(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivat
 # "formula", "label"}, any other node {"rule", "formula", "discharge",
 # "premises": [the premises' objects]}.
 
-def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Generator:
+def _from_obj(obj: dict, formulas: dict[str, Formula], parts: dict[Formula, Formula]) -> Generator:
     """The derivation whose node object is obj, as a generator for
     recurse, parsing each distinct formula text once: formulas maps the
     texts read so far to their formulas, and every occurrence of a text
-    gets the same object.  Malformed input raises ValueError."""
+    gets the same object; parts is parse's table, so the formulas share
+    their equal parts too.  Malformed input raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"derivation node must be a JSON object with a rule, got {obj!r:.80}")
     rule = NdRule(json_field(obj, "rule"))
@@ -612,12 +637,12 @@ def _from_obj(obj: dict, formulas: dict[str, Formula]) -> Generator:
         raise ValueError(f"formula must be a string, got {text!r:.80}")
     phi = formulas.get(text)
     if phi is None:
-        phi = formulas[text] = parse(text)
+        phi = formulas[text] = parse(text, parts=parts)
     if rule is NdRule.ASSUMPTION:
         return Derivation(rule, phi, label=_label(obj, "label"))
     prems = []
     for p in json_list(obj.get("premises", []), "premises"):
-        prems.append((yield _from_obj(p, formulas)))
+        prems.append((yield _from_obj(p, formulas, parts)))
     return Derivation(rule, phi, tuple(prems), _label(obj, "discharge"))
 
 
@@ -661,8 +686,11 @@ def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
 
 
 def derivation_from_json(text: str) -> Derivation:
+    """Inverse of derivation_to_json.  The formulas of the file are parsed
+    once per distinct text and share their equal parts (parse's parts).
+    Malformed input raises ValueError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("derivation file is nested too deeply") from None
-    return recurse(_from_obj(obj, {}))
+    return recurse(_from_obj(obj, {}, {}))

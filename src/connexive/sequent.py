@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generator, Iterable, TypeVar
+from typing import Callable, Generator, Iterable, NamedTuple, TypeVar
 
 from .checking import CheckReport, InvalidProof, json_field, json_list
 from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
@@ -237,8 +237,13 @@ _CHECKS = {
 }
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
+    """A sequent ctx => suc: a tuple record, equal to the tuple (ctx, suc)
+    and hashed as it, which is the hash the frozen dataclass it once was
+    computed; so set and dict order, and with them search order and
+    proof output, are as they were, while the tuple's own hashing and
+    comparison run in C."""
+
     ctx: frozenset[Formula]
     suc: Formula
 
@@ -263,17 +268,31 @@ def parse_sequent(text: str, allow_primed: bool = False) -> Sequent:
     return seq([], parse(text, allow_primed))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class SequentProof:
     """A proof node.  Premises may be shared, so a proof is a DAG; walk it
     with fold, which visits each node object once.  Equality is that of
     the proofs as trees, decided on the DAGs (same_dag); the hash and
-    repr read the node alone."""
+    repr read the node alone.  The constructor writes the slots directly,
+    past the frozen __setattr__."""
 
     conclusion: Sequent
     rule: Rule
     principal: Formula | None = None
     premises: tuple["SequentProof", ...] = ()
+
+    def __init__(
+        self, conclusion: Sequent, rule: Rule, principal: Formula | None = None, premises: tuple = ()
+    ):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_principal(self, principal)
+        _set_premises(self, premises)
+
+    def __reduce__(self):
+        # rebuilt by the constructor, as formulas are, so unpickling does
+        # not rely on how a Python version restores frozen slots
+        return SequentProof, (*self.own(), self.premises)
 
     def own(self) -> tuple:
         """What the node holds besides its premises."""
@@ -300,6 +319,10 @@ class SequentProof:
     def depth(self) -> int:
         return fold(self, lambda node, subs: 1 + max(subs, default=0))
 
+
+_set_conclusion, _set_rule, _set_principal, _set_premises = (
+    getattr(SequentProof, name).__set__ for name in SequentProof.__match_args__
+)
 
 T = TypeVar("T")
 
@@ -658,7 +681,8 @@ def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
 
 def proof_from_json(text: str) -> SequentProof:
     """Inverse of proof_to_json, in one loop over the node list: a node or
-    formula that several nodes name by index is read as one object.  Every
+    formula that several nodes name by index is read as one object, and
+    the formulas of the file share their equal parts (parse's parts).  Every
     index must be an int in range, and a premise must come before its
     node.  Malformed input raises ValueError."""
     try:
@@ -667,7 +691,8 @@ def proof_from_json(text: str) -> SequentProof:
         raise ValueError("proof file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"proof file must be a JSON object with formulas and nodes, got {obj!r:.80}")
-    formulas = [_formula(t) for t in json_list(json_field(obj, "formulas"), "formulas")]
+    parts: dict[Formula, Formula] = {}
+    formulas = [_formula(t, parts) for t in json_list(json_field(obj, "formulas"), "formulas")]
     entries = json_list(json_field(obj, "nodes"), "nodes")
     if not entries:
         raise ValueError("nodes must not be empty: the root is the last node")
@@ -686,10 +711,10 @@ def proof_from_json(text: str) -> SequentProof:
     return nodes[-1]
 
 
-def _formula(text) -> Formula:
+def _formula(text, parts: dict[Formula, Formula]) -> Formula:
     if not isinstance(text, str):
         raise ValueError(f"formula must be a string, got {text!r:.80}")
-    return parse(text, allow_primed=True)
+    return parse(text, allow_primed=True, parts=parts)
 
 
 def _at(table: list, i, k: int, what: str):

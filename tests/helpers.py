@@ -164,6 +164,8 @@ MALFORMED_TABLE_FILES = [
     (_table_file([{**_LEAF, "premises": 0}]), "premises must be a list"),
     ({"formulas": "p", "nodes": [_LEAF]}, "formulas must be a list"),
     (_table_file({}), "nodes must be a list"),
+    (_table_file([{**_LEAF, "rule": ["x"]}]), "not a valid"),
+    (_table_file([{**_LEAF, "rule": 1}]), "not a valid"),
 ]
 
 

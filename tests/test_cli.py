@@ -184,6 +184,8 @@ def test_check_malformed_proof(capsys, monkeypatch, text):
         ("null", "must be a JSON object"),
         ('{"formula": "p"}', "missing field 'rule'"),
         ('{"rule": "bogus", "formula": "p"}', "not a valid"),
+        ('{"rule": ["x"], "formula": "p"}', "not a valid"),
+        ('{"rule": 1, "formula": "p"}', "not a valid"),
         ('{"rule": "assumption"}', "missing field 'formula'"),
         ('{"rule": "assumption", "formula": ["p"]}', "formula must be a string"),
         ('{"rule": "imp_I", "formula": "p -> p", "discharge": 1, "premises": "p"}', "premises must be a list"),

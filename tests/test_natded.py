@@ -36,7 +36,7 @@ from connexive.bridge import nd_to_sc
 from connexive.reduction import reduce_step
 from connexive.sequent import RULES_OF, Calculus, Sequent, check_proof
 
-from helpers import bind_open, derivation_to_obj, mutated_derivations, rand_derivation
+from helpers import bind_open, derivation_to_obj, mutated_derivations, rand_derivation, subformulas
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -214,9 +214,9 @@ def test_json_reader_parses_each_text_once(monkeypatch):
     parses = [0]
     parse = natded.parse
 
-    def counting_parse(text):
+    def counting_parse(text, **options):
         parses[0] += 1
-        return parse(text)
+        return parse(text, **options)
 
     monkeypatch.setattr(natded, "parse", counting_parse)
     rng = random.Random(25)
@@ -233,6 +233,24 @@ def test_json_reader_parses_each_text_once(monkeypatch):
         assert len(texts) < len(nodes)  # some text repeats
         assert len({id(n.formula) for n in nodes}) == len(texts) == parses[0]
         assert back == d
+
+
+def test_derivation_from_json_shares_formulas():
+    """Over one read-back file, equal subformulas are one object, also
+    where they sit in formulas of different texts."""
+    rng = random.Random(25)
+    for sys_id in NdSystem:
+        d = rand_derivation(rng, sys_id, max_nodes=20)
+        back = derivation_from_json(derivation_to_json(d))
+        formulas, stack = {}, [back]
+        while stack:
+            n = stack.pop()
+            formulas[id(n.formula)] = n.formula
+            stack.extend(n.premises)
+        parts = [g for f in formulas.values() for g in subformulas(f)]
+        texts = {show(g) for g in parts}
+        assert len(texts) < len(parts)  # some subformula repeats
+        assert len({id(g) for g in parts}) == len(texts)
 
 
 def test_json_text_is_stdlib_json():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import random
 import sys
 
@@ -27,6 +28,7 @@ from connexive.sequent import (
 )
 
 from connexive import sequent
+from connexive.natded import Derivation, NdRule, assumption
 from connexive.prover import SearchConfig, decide
 
 from helpers import (
@@ -37,6 +39,7 @@ from helpers import (
     rand_sequent,
     reference_proof_to_obj,
     shared_or_chain,
+    subformulas,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -44,6 +47,28 @@ p, q, r = Var("p"), Var("q"), Var("r")
 
 def leaf(rule, ctx, suc):
     return SequentProof(seq(ctx, suc), rule)
+
+
+def test_kernel_values_keep_their_contract():
+    """Formulas, sequents, and proof and derivation nodes are frozen,
+    replaceable and picklable, and a sequent hashes as its field tuple."""
+    c, g = frozenset({p, Neg(q)}), And(p, q)
+    s = Sequent(c, g)
+    assert s == (c, g) and hash(s) == hash((c, g))
+    proof = SequentProof(seq([], Imp(p, p)), Rule.IMP_RIGHT, None, (leaf(Rule.INIT1, [p], p),))
+    d = Derivation(NdRule.IMP_I, Imp(p, p), (assumption(p, 1),), discharge=1)
+    for value, field in [(p, "name"), (g, "left"), (Neg(q), "body"), (s, "ctx"), (proof, "rule"), (d, "formula")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    named = dataclasses.replace(proof, principal=p)
+    assert (named.conclusion, named.rule, named.principal, named.premises) == (*proof.own()[:2], p, proof.premises)
+    relabelled = dataclasses.replace(d, discharge=2)
+    assert relabelled.own() == (NdRule.IMP_I, Imp(p, p), 2, None) and relabelled.premises == d.premises
+    for value in (s, proof, d):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+    with pytest.raises(ValueError):
+        Var("P")
 
 
 def test_parse_sequent():
@@ -448,6 +473,8 @@ def test_json_roundtrip_shared_search_proof(item2_smc):
 
 
 def test_proof_from_json_shares_formulas(item2_smc):
+    """Over one read-back file, equal formulas are one object, and so are
+    equal subformulas, also where they sit in different formulas."""
     back = proof_from_json(proof_to_json(item2_smc))
     formulas = []
 
@@ -459,6 +486,10 @@ def test_proof_from_json_shares_formulas(item2_smc):
 
     fold(back, collect)
     assert len({id(f) for f in formulas}) == len({show(f) for f in formulas})
+    parts = [g for f in {id(f): f for f in formulas}.values() for g in subformulas(f)]
+    texts = {show(g) for g in parts}
+    assert len(texts) < len(parts)  # some subformula repeats
+    assert len({id(g) for g in parts}) == len(texts)
 
 
 @pytest.mark.parametrize(
