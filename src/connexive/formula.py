@@ -264,14 +264,17 @@ _OPERAND = ("~", "(", "atom")
 _BINARY = {"&": (_PREC_AND, And), "|": (_PREC_OR, Or), "imp": (_PREC_IMP, Imp)}
 
 
-def parse(text: str, allow_primed: bool = False, *, parts: dict[Formula, Formula] | None = None) -> Formula:
+def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] | None = None) -> Formula:
     """Parse a formula; primed atoms (p') only with allow_primed.
 
-    parts is the caller's table of the formulas read so far, each mapped
-    to itself.  Each node built here is swapped for the equal one in
-    parts, or entered there; so the formulas one table sees share their
-    equal parts, and == on them settles by identity at the first shared
-    part.  A reader passes one table per file; without one, nothing is
+    parts is the caller's table of the formulas read so far, each under
+    its class and what it is built from: (Var, name, primed), (Neg,
+    id(body)) or (cls, id(left), id(right)).  A node is looked up there
+    before it is built, and built and entered only when it is missing;
+    so the formulas one table sees share their equal parts, and == on
+    them settles by identity at the first shared part.  The ids name
+    parts that the table itself holds, so they stay valid while it
+    lives.  A reader passes one table per file; without one, nothing is
     shared.
 
     One loop over the tokens, with a stack of pending operators: Neg for
@@ -281,7 +284,6 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[Formula, Formula
     applies all of them down to its (."""
     if not text.strip():
         raise ParseError("empty input", 0, _OPERAND)
-    share = None if parts is None else parts.setdefault
     stack: list = []
     f = None  # the operand just read; None where an operand is expected
     for kind, tok, pos in _tokenize(text):
@@ -294,17 +296,24 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[Formula, Formula
             primed = tok.endswith("'")
             if primed and not allow_primed:
                 raise ParseError("primed atom outside embedding-target mode", pos)
-            f = Var(tok.rstrip("'"), primed)
-            if share:
-                f = share(f, f)
+            name = tok.rstrip("'")
+            if parts is None:
+                f = Var(name, primed)
+            else:
+                f = parts.get((Var, name, primed))
+                if f is None:
+                    f = parts[Var, name, primed] = Var(name, primed)
         else:
             prec, cls = _BINARY.get(kind, (_PREC_IMP, None))
             least = prec + 1 if cls is Imp else prec  # -> groups to the right
             while stack and type(stack[-1]) is tuple and stack[-1][0] >= least:
                 _, op, left = stack.pop()
-                f = op(left, f)
-                if share:
-                    f = share(f, f)
+                if parts is None:
+                    f = op(left, f)
+                else:
+                    k = (op, id(left), id(f))
+                    shared = parts.get(k)
+                    f = parts[k] = op(left, f) if shared is None else shared
             if cls is not None:
                 stack.append((prec, cls, f))
                 f = None
@@ -319,9 +328,12 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[Formula, Formula
                 raise ParseError(f"trailing input {tok!r}", pos, ("end of input",))
         while stack and stack[-1] is Neg:
             stack.pop()
-            f = Neg(f)
-            if share:
-                f = share(f, f)
+            if parts is None:
+                f = Neg(f)
+            else:
+                k = (Neg, id(f))
+                shared = parts.get(k)
+                f = parts[k] = Neg(f) if shared is None else shared
     raise AssertionError("the token list ends with eof")
 
 

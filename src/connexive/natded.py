@@ -623,7 +623,7 @@ def replace_at(d: Derivation, path: tuple[int, ...], new: Derivation) -> Derivat
 # "formula", "label"}, any other node {"rule", "formula", "discharge",
 # "premises": [the premises' objects]}.
 
-def _from_obj(obj: dict, formulas: dict[str, Formula], parts: dict[Formula, Formula]) -> Generator:
+def _from_obj(obj: dict, formulas: dict[str, Formula], parts: dict[tuple, Formula]) -> Generator:
     """The derivation whose node object is obj, as a generator for
     recurse, parsing each distinct formula text once: formulas maps the
     texts read so far to their formulas, and every occurrence of a text

@@ -21,6 +21,21 @@ present, so any sequent refuted by some valuation is unprovable and its
 subtree is skipped.  The filter only removes unprovable nodes, so
 completeness is untouched; its rule-wise soundness is property-tested.
 
+smc and scn are decided through the negation-eliminating embedding f
+(see embedding) when the connexive search does not settle the goal in
+its first _NATIVE_FIRST nodes, the root's table check among them.  The
+positive search then runs in ljp-peirce on positive_goal, the image f(s)
+with, for scn, the assumptions p | p', and a proof it finds is lifted
+into the goal's calculus (embedding.lift) and certified there.  So a
+routed positive rests on the checker alone, and a routed negative on
+the correspondence f gives and on the positive search's completeness,
+which the tests compare with the connexive search (_native) on every
+goal of several corpora.  The connexive search decides every other
+calculus, including smc and scn inside their starred calculi: a starred
+decide hands its analysis, made for the starred calculus, to the
+unstarred decide, and an analysis made for a starred calculus keeps the
+search native.
+
 What no rule changes is computed once per goal (_Analysis): the
 language check, the tables' masks, the universe and its sorted order.
 The tables are built from the goal's atoms, and the universe only when
@@ -76,6 +91,7 @@ from enum import Enum
 from functools import cached_property
 
 from .checking import CheckReport, InvalidProof
+from .embedding import lift, positive_goal
 from .formula import (
     And,
     Formula,
@@ -115,11 +131,14 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SearchStats:
-    """nodes_expanded and wall_time are the search's.  max_depth is the
-    depth of the proof found, read off its certification (of the
-    unstarred proof, for a starred calculus), or the deepest node
-    expanded when there is none.  proof_size is the returned proof's
-    size as a tree, from its certification, and 0 without a proof."""
+    """nodes_expanded and wall_time are the search's.  For a goal that
+    decide routes through f they add up both searches, the connexive
+    one's first nodes and the positive one's, and the time includes the
+    lift's.  max_depth is the depth of the proof
+    found, read off its certification (of the unstarred proof, for a
+    starred calculus), or the deepest node expanded when there is none.
+    proof_size is the returned proof's size as a tree, from its
+    certification, and 0 without a proof."""
 
     nodes_expanded: int
     max_depth: int
@@ -158,6 +177,17 @@ class ResourceExceeded(RuntimeError):
 # starred calculi are decided through their unstarred equivalents, then
 # the (Peirce) nodes are rewritten into (g-ex-middle) nodes
 _UNSTAR = {star: calc for calc, star in STARRED.items()}
+# the calculi decided through the embedding f once the connexive search
+# has expanded _NATIVE_FIRST nodes on a goal without settling it.  A goal
+# it settles sooner costs it less than the route's fixed work (the
+# translation, the positive analysis and the lift) costs the route.  On
+# the benchmark's seed-1 matrix and seed 1-3 prove goals in smc and scn
+# (Python 3.11, two-vCPU host), the connexive search was faster on the
+# goals it settles in 2-100 nodes, about even on those of 100-300, and
+# 2 to 100 times slower on the 16 goals past 300 nodes.
+_ROUTED = frozenset(STARRED)
+_NATIVE_FIRST = 100
+_FIRST = SearchConfig(node_budget=_NATIVE_FIRST)
 
 # candidate rules by the shape of the formula they decompose, the
 # succedent (right) or a context formula (left), as (invertible rules,
@@ -187,8 +217,14 @@ def decide(
     calc: Calculus, s: Sequent, cfg: SearchConfig | None = None, _analysis: _Analysis | None = None
 ) -> ProveResult:
     """The verdict on s in calc, with a checked cut-free proof when it is
-    provable.  _analysis is private to this module: separation_matrix and
-    a starred decide pass the analysis of s that they already hold."""
+    provable.  Every calculus is decided by the connexive search
+    (_native), except that a goal in smc or scn that it has not settled
+    after _NATIVE_FIRST nodes goes through the embedding f (_embedded),
+    with the rest of the budget.  _analysis is private to this module:
+    separation_matrix and a starred decide pass the analysis of s that
+    they already hold.  A starred decide hands its own to the unstarred
+    one, and an analysis made for a starred calculus keeps the unstarred
+    search native."""
     cfg = cfg or SearchConfig()
     analysis = _analysis or _Analysis(calc, s)
     if calc in _UNSTAR:
@@ -198,23 +234,63 @@ def decide(
         proof = _destar(inner.proof)
         rep = _certify(calc, proof)
         return ProveResult(Verdict.PROVABLE, proof, replace(inner.stats, proof_size=rep.tree_size))
+    if calc in _ROUTED and analysis.calc not in _UNSTAR and cfg.node_budget > _NATIVE_FIRST:
+        first = _native(calc, s, _FIRST, analysis)
+        if first.verdict is not Verdict.RESOURCE_EXCEEDED:
+            return first
+        routed = _embedded(calc, s, replace(cfg, node_budget=cfg.node_budget - _NATIVE_FIRST))
+        return replace(routed, stats=replace(
+            routed.stats,
+            nodes_expanded=first.stats.nodes_expanded + routed.stats.nodes_expanded,
+            wall_time=first.stats.wall_time + routed.stats.wall_time,
+        ))
+    return _native(calc, s, cfg, analysis)
 
+
+def _native(
+    calc: Calculus, s: Sequent, cfg: SearchConfig | None = None, analysis: _Analysis | None = None
+) -> ProveResult:
+    """decide by the connexive search, in an unstarred calculus: the
+    entry that the starred calculi reach through decide, and that the
+    embedding checks compare the route through f with."""
+    analysis = analysis or _Analysis(calc, s)
     t0 = time.perf_counter()
-    search = _Search(calc, cfg, analysis)
+    return _settle(calc, _Search(calc, cfg or SearchConfig(), analysis), s, t0)
+
+
+def _embedded(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> ProveResult:
+    """decide through the embedding f, for smc and scn: the positive
+    search on positive_goal in ljp-peirce, whose proof is lifted into
+    calc and certified there; the positive proof itself is not
+    certified.  s must be in calc's language."""
+    t0 = time.perf_counter()
+    goal = positive_goal(calc, s)
+    search = _Search(Calculus.LJP_PEIRCE, cfg or SearchConfig(), _Analysis(Calculus.LJP_PEIRCE, goal))
+    return _settle(calc, search, goal, t0, s)
+
+
+def _settle(
+    calc: Calculus, search: _Search, goal: Sequent, t0: float, lifted: Sequent | None = None
+) -> ProveResult:
+    """decide's result in calc from running search on goal, with t0 its
+    start.  lifted is the sequent of calc whose positive_goal goal is,
+    when the search is the route's: a proof found is lifted to it.  The
+    proof returned is certified in calc."""
     try:
-        proof, _ = search.dfs(s, 0)
+        proof, _ = search.dfs(goal, 0)
     except _BudgetExhausted:
         wall = time.perf_counter() - t0
         return ProveResult(
             Verdict.RESOURCE_EXCEEDED, None, SearchStats(search.nodes, search.max_depth, wall)
         )
+    if proof is None:
+        wall = time.perf_counter() - t0
+        return ProveResult(Verdict.UNPROVABLE, None, SearchStats(search.nodes, search.max_depth, wall))
+    if lifted is not None:
+        proof = lift(calc, proof, lifted)
     wall = time.perf_counter() - t0
-    if proof is not None:
-        rep = _certify(calc, proof)
-        return ProveResult(
-            Verdict.PROVABLE, proof, SearchStats(search.nodes, rep.depth, wall, rep.tree_size)
-        )
-    return ProveResult(Verdict.UNPROVABLE, None, SearchStats(search.nodes, search.max_depth, wall))
+    rep = _certify(calc, proof)
+    return ProveResult(Verdict.PROVABLE, proof, SearchStats(search.nodes, rep.depth, wall, rep.tree_size))
 
 
 def _certify(calc: Calculus, proof: SequentProof) -> CheckReport:

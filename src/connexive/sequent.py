@@ -35,8 +35,9 @@ class Calculus(str, Enum):
     SCN = "scn"
     SMC_STAR = "smc-star"
     SCN_STAR = "scn-star"
-    # experimental target for embedding scn: LJ+ + Peirce + excluded
-    # middle over matching primed/unprimed atom pairs
+    # experimental: LJ+ + Peirce + excluded middle over matching
+    # primed/unprimed atom pairs (decide's route for scn assumes p | p'
+    # in ljp-peirce instead)
     LJP_PEIRCE_PEM = "ljp-peirce-pem"
 
 
@@ -691,7 +692,7 @@ def proof_from_json(text: str) -> SequentProof:
         raise ValueError("proof file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"proof file must be a JSON object with formulas and nodes, got {obj!r:.80}")
-    parts: dict[Formula, Formula] = {}
+    parts: dict[tuple, Formula] = {}
     formulas = [_formula(t, parts) for t in json_list(json_field(obj, "formulas"), "formulas")]
     entries = json_list(json_field(obj, "nodes"), "nodes")
     if not entries:
@@ -711,7 +712,7 @@ def proof_from_json(text: str) -> SequentProof:
     return nodes[-1]
 
 
-def _formula(text, parts: dict[Formula, Formula]) -> Formula:
+def _formula(text, parts: dict[tuple, Formula]) -> Formula:
     if not isinstance(text, str):
         raise ValueError(f"formula must be a string, got {text!r:.80}")
     return parse(text, allow_primed=True, parts=parts)

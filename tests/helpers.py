@@ -18,7 +18,7 @@ from connexive.natded import (
     replace_at,
 )
 from connexive.natded import fold as nd_fold
-from connexive.sequent import CONNEXIVE_CALCULI, Rule, Sequent, SequentProof, fold, seq
+from connexive.sequent import CONNEXIVE_CALCULI, STARRED, Rule, Sequent, SequentProof, fold, seq
 
 ATOMS = (Var("p"), Var("q"), Var("r"))
 
@@ -455,16 +455,26 @@ def mutate_proof(rng: random.Random, proof: SequentProof) -> SequentProof:
     return fold(proof, combine)
 
 
+def native_decide(calc, s: Sequent, cfg=None):
+    """decide by the connexive search alone: smc and scn without the
+    route through the embedding f, and the other calculi as decide
+    decides them.  The digests that pin the connexive search, which the
+    starred calculi still use, hash what this returns."""
+    from connexive.prover import _native, decide
+
+    return _native(calc, s, cfg) if calc in STARRED else decide(calc, s, cfg)
+
+
 def mutated_proofs(rng: random.Random, count: int):
-    """count pairs (calculus, proof): the proof decide finds for a random
-    provable sequent, after one mutation (mutate_proof)."""
-    from connexive.prover import Verdict, decide
+    """count pairs (calculus, proof): the proof the connexive search finds
+    for a random provable sequent, after one mutation (mutate_proof)."""
+    from connexive.prover import Verdict
 
     calculi = sorted(CONNEXIVE_CALCULI)
     made = 0
     while made < count:
         calc = calculi[made % len(calculi)]
-        res = decide(calc, rand_sequent(rng, 8))
+        res = native_decide(calc, rand_sequent(rng, 8))
         if res.verdict is Verdict.PROVABLE:
             made += 1
             yield calc, mutate_proof(rng, res.proof)

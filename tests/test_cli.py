@@ -67,6 +67,21 @@ def test_check_sc(capsys, tmp_path):
     assert code == 1
 
 
+def test_prove_scn_row_through_f(capsys, tmp_path):
+    """The scn row the connexive search needs 20,323 nodes for is proved
+    through the embedding f, and its proof file checks in scn."""
+    goal = (
+        "((~p | ~~q) -> (~((r | p) & q) | q)), (~(~q -> (p & ~p)) | ~q)"
+        " => ((~(~r | ~p) -> (~p | q)) | (p -> ~(q -> r)))"
+    )
+    code, out, _ = run(capsys, "prove", "scn", goal)
+    assert code == 0
+    path = tmp_path / "proof.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check", "sc", "scn", str(path))
+    assert code == 0 and out.strip() == "valid"
+
+
 def test_check_nd(capsys, tmp_path):
     d = Derivation(NdRule.IMP_I, Imp(p, p), (assumption(p, 1),), 1)
     path = tmp_path / "d.json"

@@ -40,7 +40,7 @@ from connexive.sequent import (
     weaken_proof,
 )
 
-from helpers import atoms, brute_force_sc3, rand_formula, rand_sequent, reference_proof_to_obj
+from helpers import atoms, brute_force_sc3, native_decide, rand_formula, rand_sequent, reference_proof_to_obj
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -99,7 +99,9 @@ def test_separation_matrix_analyses_each_row_once(monkeypatch):
     """Every cell is an independent decide's verdict; the searches the
     matrix runs are those the rule-set lattice leaves open, each expanding
     the nodes an independent decide does; and a row builds at most one
-    closure, none when every search it runs refutes its root."""
+    closure of its own goal, shared by its connexive searches, and at
+    most one of a positive goal per search routed through f, none when
+    every search it runs refutes its root."""
     import connexive.prover as prover
 
     rng = random.Random(31)
@@ -109,7 +111,7 @@ def test_separation_matrix_analyses_each_row_once(monkeypatch):
     closures, shared = [], []
 
     def count_closure(*args, **kwargs):
-        closures.append(args)
+        closures.append(kwargs["add_negations"])  # a positive goal's closure adds none
         return closure(*args, **kwargs)
 
     def record_decide(*args):
@@ -129,7 +131,8 @@ def test_separation_matrix_analyses_each_row_once(monkeypatch):
         assert [res.stats.nodes_expanded for _, res in shared] == [
             alone[c].stats.nodes_expanded for c, _ in shared
         ]
-        assert len(closures) <= 1
+        assert closures.count(True) <= 1
+        assert closures.count(False) <= len([c for c, _ in shared if c in (Calculus.SMC, Calculus.SCN)])
         if all(_root_refuted(c, seq([], phi)) for c, _ in shared):
             assert not closures
             lazy_rows += 1
@@ -420,8 +423,10 @@ def test_added_formula_escape_raises_under_optimize():
 
 
 def test_proof_json_digest_unchanged():
-    """decide's verdicts and proof JSON on a fixed corpus hash to the digest
-    recorded by running this same loop on commit 80e5207, a checkout made
+    """The connexive search's verdicts and proof JSON on a fixed corpus
+    (native_decide: decide, with smc and scn not routed through f) hash
+    to the digest recorded by running this same loop on commit 80e5207,
+    a checkout made
     before formulas stored their hash and text.  Search order follows set
     iteration order and sort keys, so this holds both to what they were.
     Each proof goes through a proof file and is hashed in the nested
@@ -433,7 +438,7 @@ def test_proof_json_digest_unchanged():
     digest = hashlib.sha256()
     for s in corpus:
         for calc in sorted(CONNEXIVE_CALCULI):
-            res = decide(calc, s, cfg)
+            res = native_decide(calc, s, cfg)
             digest.update(res.verdict.value.encode())
             if res.proof is not None:
                 back = proof_from_json(proof_to_json(res.proof, indent=2))
@@ -444,15 +449,14 @@ def test_proof_json_digest_unchanged():
 # the digest corpus again, hashed as the bytes of today's proof files
 _FILE_DIGEST = """
 import hashlib, random
-from helpers import rand_sequent
-from connexive.prover import decide
+from helpers import native_decide, rand_sequent
 from connexive.sequent import CONNEXIVE_CALCULI, proof_to_json
 
 rng = random.Random(7)
 digest = hashlib.sha256()
 for s in [rand_sequent(rng, 10) for _ in range(300)]:
     for calc in sorted(CONNEXIVE_CALCULI):
-        res = decide(calc, s)
+        res = native_decide(calc, s)
         digest.update(res.verdict.value.encode())
         if res.proof is not None:
             digest.update(proof_to_json(res.proof, indent=2).encode())
@@ -461,8 +465,9 @@ print(digest.hexdigest())
 
 
 def test_proof_file_digest_under_hash_seeds():
-    """The proof files decide's proofs make are the same bytes whatever
-    the string hash seed, which sets the iteration order of formula sets."""
+    """The proof files of the connexive search's proofs are the same
+    bytes whatever the string hash seed, which sets the iteration order
+    of formula sets."""
     tests = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.dirname(os.path.dirname(connexive.__file__)), tests])
     runs = [
@@ -477,6 +482,46 @@ def test_proof_file_digest_under_hash_seeds():
     assert {out.strip() for out, _ in outs} == {"caf88ee229cf16ae34084fca7e24942b8eb6f19dd3e64e7a6a9893c8574bd49b"}
 
 
+# the digest corpus in the two calculi decide routes through f, hashed as
+# verdicts, nodes expanded and proof file bytes, of decide and of the
+# route alone (_embedded, whose proofs are lifted ones)
+_ROUTED_DIGEST = """
+import hashlib, random
+from helpers import rand_sequent
+from connexive.prover import _embedded, decide
+from connexive.sequent import Calculus, proof_to_json
+
+rng = random.Random(7)
+digest = hashlib.sha256()
+for s in [rand_sequent(rng, 10) for _ in range(300)]:
+    for calc in (Calculus.SMC, Calculus.SCN):
+        for res in (decide(calc, s), _embedded(calc, s)):
+            digest.update(f"{calc.value} {res.verdict.value} {res.stats.nodes_expanded}\\n".encode())
+            if res.proof is not None:
+                digest.update(proof_to_json(res.proof, indent=2).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_routed_proof_digest_under_hash_seeds():
+    """decide in smc and scn, and the route through f alone, give the
+    same verdicts, node counts and proof files on the digest corpus
+    whatever the string hash seed: the digest this loop gave when the
+    route was made."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(connexive.__file__)), tests])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _ROUTED_DIGEST], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1", "2", "5")
+    ]
+    outs = [run.communicate(timeout=120) for run in runs]
+    assert [run.returncode for run in runs] == [0] * 4, [err for _, err in outs]
+    assert {out.strip() for out, _ in outs} == {"40c14474c9120df3e6158caacacf246a5104e4342a1c206d6a5e729f3f51c413"}
+
+
 # the five hard rows of the prove benchmark, with their node counts
 _HARD_ROWS = (
     ("smc-star", "(((r | p) & r) -> r), ((q & ~p) | ((~r -> ~q) -> (q & r))) => (~(r & ~q) | (~p & p))", 1111),
@@ -489,20 +534,21 @@ _HARD_ROWS = (
 
 
 def test_search_effort_unchanged():
-    """The search expands the same nodes however it is implemented: the
-    calculus, verdict, nodes expanded and depth of every decide on the
-    digest corpus hash to the digest recorded by running this same loop
+    """The connexive search expands the same nodes however it is
+    implemented: the calculus, verdict, nodes expanded and depth of every
+    native_decide on the digest corpus hash to the digest recorded by
+    running this same loop
     on commit 7b66426, the last recursive search, under string hash
     seeds 0 and 1 alike; and the hard rows keep their node counts."""
     rng = random.Random(7)
     digest = hashlib.sha256()
     for s in [rand_sequent(rng, 10) for _ in range(300)]:
         for calc in sorted(CONNEXIVE_CALCULI):
-            res = decide(calc, s)
+            res = native_decide(calc, s)
             digest.update(f"{calc.value} {res.verdict.value} {res.stats.nodes_expanded} {res.stats.max_depth}\n".encode())
     assert digest.hexdigest() == "9ce320cd0dac56664a5fe860afa5177aa3435503f90f94d1802eac5fe3cf4f07"
     for calc, text, nodes in _HARD_ROWS:
-        res = decide(Calculus(calc), parse_sequent(text))
+        res = native_decide(Calculus(calc), parse_sequent(text))
         assert (res.verdict, res.stats.nodes_expanded) == (Verdict.PROVABLE, nodes), text
 
 
