@@ -1,25 +1,26 @@
 """The negation-eliminating translation f into the positive language
 over primed/unprimed atoms, the lift of positive proofs back into smc
-and scn, and the embedding-check harness.
+and scn, and the embedding check.
 
 f maps the connexive language onto formulas without ~: atoms are fixed,
 ~p becomes the fresh atom p', f commutes with the positive connectives,
 and negated compounds are unfolded by the de-Morgan-style clauses with
 the connexive implication clause f(~(a -> b)) = f(a) -> f(~b).
 
-Through f, smc corresponds to ljp-peirce, and scn to ljp-peirce with
-the assumptions p | p', the images of atomic excluded middle: a sequent
-s is provable in smc or scn exactly when positive_goal of it is provable
-in ljp-peirce.  prover.decide decides this way the smc and scn goals
-that the connexive search does not settle in its first nodes.  It
-searches positive_goal in ljp-peirce, lifts the proof it finds into the
-goal's calculus (lift) and certifies the lifted proof there, so a
-positive verdict rests on the checker alone.  A negative rests on the
-correspondence and on the positive search's completeness; embed_check
-and embed_check_cn compare it with the connexive search.
+Through f, sc corresponds to ljp and smc to ljp-peirce (POSITIVE), and
+sc3 and scn to the same calculi with the assumptions p | p', the images
+of atomic excluded middle: a sequent s is provable in one of the four
+exactly when positive_goal of it is provable in its positive calculus.
+prover.decide decides this way the smc and scn goals that the connexive
+search does not settle in its first nodes.  It searches positive_goal
+in ljp-peirce, lifts the proof it finds into the goal's calculus (lift)
+and certifies the lifted proof there, so a positive verdict rests on
+the checker alone.  A negative rests on the correspondence and on the
+positive search's completeness; embed_check compares it with the
+connexive search in all four calculi.
 
 The module imports only formula and sequent, so that prover can import
-it; the two checks import prover when they run.
+it; embed_check imports prover when it runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, Generator
 from .formula import And, Formula, Imp, Neg, Or, Var, key, pending, show
 from .sequent import (
     RIGHT_RULES,
+    RULES_OF,
     SCHEMAS,
     Calculus,
     Rule,
@@ -75,15 +77,20 @@ def _images(phi: Formula, image: dict[Formula, tuple[Formula, Formula]]) -> tupl
     return image[phi]
 
 
-def translate_sequent(s: Sequent) -> Sequent:
-    return Sequent(frozenset(translate_f(g) for g in s.ctx), translate_f(s.suc))
+# the positive calculus that f embeds each connexive calculus of the
+# matrix into: ljp-peirce when the calculus has (Peirce), else ljp
+POSITIVE = {
+    calc: Calculus.LJP_PEIRCE if Rule.PEIRCE in RULES_OF[calc] else Calculus.LJP
+    for calc in (Calculus.SC, Calculus.SC3, Calculus.SMC, Calculus.SCN)
+}
 
 
 def positive_goal(calc: Calculus, s: Sequent) -> Sequent:
-    """The ljp-peirce goal whose proofs lift to proofs of s in calc, smc
-    or scn: f(s), and for scn also the assumption p | p' for each atom p
-    such that p and p' both occur in f(s).  s must be in the connexive
-    language.
+    """The goal in POSITIVE[calc] that corresponds to s in calc: f(s),
+    and when calc has ex_middle (sc3 and scn) also the assumption p | p'
+    for each atom p such that p and p' both occur in f(s).  s must be in
+    the connexive language.  For smc and scn, lift turns its proofs into
+    proofs of s in calc.
 
     The assumption for an atom of which only p, or only p', occurs would
     be redundant.  Substituting p -> p for p' (or p' -> p' for p) in a
@@ -95,9 +102,9 @@ def positive_goal(calc: Calculus, s: Sequent) -> Sequent:
     image: dict[Formula, tuple[Formula, Formula]] = {}
     ctx = {_images(a, image)[0] for a in s.ctx}
     suc = _images(s.suc, image)[0]
-    if calc is Calculus.SCN:
+    if Rule.EX_MIDDLE in RULES_OF[calc]:
         seen: dict[int, Formula] = {}
-        language_error(Calculus.LJP_PEIRCE, (*ctx, suc), seen)
+        language_error(Calculus.LJP, (*ctx, suc), seen)
         found = {f for f in seen.values() if type(f) is Var}
         for a in found:
             primed = Var(a.name, True)
@@ -220,7 +227,7 @@ def lift(calc: Calculus, proof: SequentProof, goal: Sequent) -> SequentProof:
 
 def _is_assumption(phi: Formula) -> bool:
     """Whether phi is p | p' for an atom p: an assumption of
-    positive_goal for scn, or a formula equal to one."""
+    positive_goal, or a formula equal to one."""
     p, q = (phi.left, phi.right) if type(phi) is Or else (None, None)
     return type(p) is Var and type(q) is Var and q.primed and not p.primed and p.name == q.name
 
@@ -236,22 +243,11 @@ class EmbedReport:
         return self.source.verdict is self.target.verdict
 
 
-def embed_check(s: Sequent, cfg: SearchConfig | None = None) -> EmbedReport:
-    """The connexive search's verdict on s in smc against the positive
-    search's on f(s) in ljp-peirce."""
-    return _check(Calculus.SMC, s, cfg)
-
-
-def embed_check_cn(s: Sequent, cfg: SearchConfig | None = None) -> EmbedReport:
-    """The connexive search's verdict on s in scn against the positive
-    search's, in ljp-peirce, on f(s) with the assumptions p | p' that
-    positive_goal adds for decide's route."""
-    return _check(Calculus.SCN, s, cfg)
-
-
-def _check(calc: Calculus, s: Sequent, cfg) -> EmbedReport:
+def embed_check(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> EmbedReport:
+    """The connexive search's verdict on s in calc, one of sc, sc3, smc
+    and scn, against the positive search's on positive_goal(calc, s) in
+    POSITIVE[calc]."""
     from .prover import _native, decide
 
-    source = _native(calc, s, cfg)
     image = positive_goal(calc, s)
-    return EmbedReport(source, decide(Calculus.LJP_PEIRCE, image, cfg), image)
+    return EmbedReport(_native(calc, s, cfg), decide(POSITIVE[calc], image, cfg), image)

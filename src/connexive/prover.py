@@ -24,17 +24,17 @@ completeness is untouched; its rule-wise soundness is property-tested.
 smc and scn are decided through the negation-eliminating embedding f
 (see embedding) when the connexive search does not settle the goal in
 its first _NATIVE_FIRST nodes, the root's table check among them.  The
-positive search then runs in ljp-peirce on positive_goal, the image f(s)
-with, for scn, the assumptions p | p', and a proof it finds is lifted
-into the goal's calculus (embedding.lift) and certified there.  So a
-routed positive rests on the checker alone, and a routed negative on
-the correspondence f gives and on the positive search's completeness,
-which the tests compare with the connexive search (_native) on every
-goal of several corpora.  The connexive search decides every other
-calculus, including smc and scn inside their starred calculi: a starred
-decide hands its analysis, made for the starred calculus, to the
-unstarred decide, and an analysis made for a starred calculus keeps the
-search native.
+positive search then runs in ljp-peirce (embedding.POSITIVE) on
+positive_goal, the image f(s) with, for scn, the assumptions p | p', and
+a proof it finds is lifted into the goal's calculus (embedding.lift) and
+certified there.  So a routed positive rests on the checker alone, and
+a routed negative on the correspondence f gives and on the positive
+search's completeness, which the tests compare with the connexive
+search (_native) on every goal of several corpora.  The connexive
+search decides every other calculus, including smc and scn inside their
+starred calculi: a starred decide hands its analysis, made for the
+starred calculus, to the unstarred decide, and an analysis made for a
+starred calculus keeps the search native.
 
 What no rule changes is computed once per goal (_Analysis): the
 language check, the tables' masks, the universe and its sorted order.
@@ -91,7 +91,7 @@ from enum import Enum
 from functools import cached_property
 
 from .checking import CheckReport, InvalidProof
-from .embedding import lift, positive_goal
+from .embedding import POSITIVE, lift, positive_goal
 from .formula import (
     And,
     Formula,
@@ -100,7 +100,6 @@ from .formula import (
     Or,
     Var,
     closure,
-    closure_set,
     key,
     pending,
     show,
@@ -131,9 +130,10 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SearchStats:
-    """nodes_expanded and wall_time are the search's.  For a goal that
-    decide routes through f they add up both searches, the connexive
-    one's first nodes and the positive one's, and the time includes the
+    """nodes_expanded and wall_time are the search's.  A search that runs
+    out of its node budget n reports n nodes.  For a goal that decide
+    routes through f they add up both searches, the connexive one's first
+    _NATIVE_FIRST nodes and the positive one's, and the time includes the
     lift's.  max_depth is the depth of the proof
     found, read off its certification (of the unstarred proof, for a
     starred calculus), or the deepest node expanded when there is none.
@@ -260,12 +260,12 @@ def _native(
 
 def _embedded(calc: Calculus, s: Sequent, cfg: SearchConfig | None = None) -> ProveResult:
     """decide through the embedding f, for smc and scn: the positive
-    search on positive_goal in ljp-peirce, whose proof is lifted into
-    calc and certified there; the positive proof itself is not
-    certified.  s must be in calc's language."""
+    search on positive_goal in the positive calculus of calc, whose proof
+    is lifted into calc and certified there; the positive proof itself is
+    not certified.  s must be in calc's language."""
     t0 = time.perf_counter()
-    goal = positive_goal(calc, s)
-    search = _Search(Calculus.LJP_PEIRCE, cfg or SearchConfig(), _Analysis(Calculus.LJP_PEIRCE, goal))
+    goal, positive = positive_goal(calc, s), POSITIVE[calc]
+    search = _Search(positive, cfg or SearchConfig(), _Analysis(positive, goal))
     return _settle(calc, search, goal, t0, s)
 
 
@@ -340,20 +340,15 @@ class Tables:
         self._memo: dict[Formula, tuple[int, int]] = {}
         self.allowed = self.full
 
-    def restricted(self, require_t_or_f: bool, pem_pairs: bool) -> Tables:
+    def restricted(self, require_t_or_f: bool) -> Tables:
         """These tables, masks and memo shared, with refutes limited to
-        the valuations that the given restrictions allow: one calculus's
-        view of tables that several calculi share."""
+        the valuations that the t-or-f restriction allows when it is
+        required: one calculus's view of tables that several calculi
+        share."""
         allowed = self.full
         if require_t_or_f:
             for i in range(len(self.index)):
                 allowed &= self._bit[2 * i] | self._bit[2 * i + 1]
-        if pem_pairs:
-            for a, i in self.index.items():
-                if not a.primed:
-                    j = self.index.get(Var(a.name, True))
-                    if j is not None:
-                        allowed &= self._bit[2 * i] | self._bit[2 * j]
         view = object.__new__(Tables)
         view.__dict__.update(self.__dict__, allowed=allowed)
         return view
@@ -426,9 +421,6 @@ class _Analysis:
         if reason is not None:
             raise ValueError(reason)
         found = {f for f in seen.values() if type(f) is Var}
-        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
-            # the primed partners that the universe adds
-            found |= {Var(a.name, True) for a in found if not a.primed}
         self.calc, self.goal = calc, goal
         self.tables = Tables(list(found))
 
@@ -440,9 +432,6 @@ class _Analysis:
         root of _Search._emit's guard."""
         calc, goal = self.calc, self.goal
         universe = closure(goal, add_negations=calc in CONNEXIVE_CALCULI)
-        if Rule.P_EX_MIDDLE in RULES_OF[calc]:
-            extra = {Var(a.name, True) for a in universe if isinstance(a, Var) and not a.primed}
-            universe = closure_set(universe | extra, add_negations=False)
         for f in (*goal.ctx, goal.suc):
             if not _covered(universe, f):
                 raise RuntimeError(f"proof search left its universe: {show(f)}")
@@ -450,10 +439,12 @@ class _Analysis:
 
     @cached_property
     def ordered(self) -> tuple[list[Formula], list[Var]]:
-        """The universe sorted by key, and its unprimed atoms in that
-        order: sorted once per goal, when a search first needs them."""
+        """The universe sorted by key, and its atoms in that order, the
+        ex_middle instances: sorted once per goal, when a search first
+        needs them.  Only connexive calculi have ex_middle, and their
+        universes hold no primed atom."""
         uni = sorted(self.universe, key=key)
-        return uni, [p for p in uni if isinstance(p, Var) and not p.primed]
+        return uni, [p for p in uni if type(p) is Var]
 
 
 def _covered(universe: frozenset[Formula], f: Formula) -> bool:
@@ -500,10 +491,7 @@ class _Search:
         self.rules = RULES_OF[calc]
         self.cfg = cfg
         self.analysis = analysis
-        self.tables = analysis.tables.restricted(
-            require_t_or_f=Rule.EX_MIDDLE in self.rules,
-            pem_pairs=Rule.P_EX_MIDDLE in self.rules,
-        )
+        self.tables = analysis.tables.restricted(require_t_or_f=Rule.EX_MIDDLE in self.rules)
         self.proved: dict[Sequent, SequentProof] = {}
         self.failed: set[Sequent] = set()
         self.history: dict[Sequent, int] = {}
@@ -538,9 +526,9 @@ class _Search:
             if dep is None:
                 sub, dep = proved.get(t), _NO_DEP
                 if sub is None and t not in failed:
-                    self.nodes += 1
-                    if self.nodes > budget:
+                    if self.nodes >= budget:
                         raise _BudgetExhausted
+                    self.nodes += 1
                     if d > self.max_depth:
                         self.max_depth = d
                     if top is None:
@@ -662,11 +650,6 @@ class _Search:
                     inst = emit(s, Rule.PEIRCE, imp)
                     if inst is not None:
                         yield inst
-        if Rule.P_EX_MIDDLE in rules:
-            for p in self.analysis.ordered[1]:
-                inst = emit(s, Rule.P_EX_MIDDLE, p)
-                if inst is not None:
-                    yield inst
 
     def _candidate(self, phi: Formula):
         """phi's left candidate, (key, phi, rule, invertible, triggers,

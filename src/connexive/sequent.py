@@ -35,10 +35,6 @@ class Calculus(str, Enum):
     SCN = "scn"
     SMC_STAR = "smc-star"
     SCN_STAR = "scn-star"
-    # experimental: LJ+ + Peirce + excluded middle over matching
-    # primed/unprimed atom pairs (decide's route for scn assumes p | p'
-    # in ljp-peirce instead)
-    LJP_PEIRCE_PEM = "ljp-peirce-pem"
 
 
 class Rule(str, Enum):
@@ -64,7 +60,6 @@ class Rule(str, Enum):
     EX_MIDDLE = "ex_middle"
     PEIRCE = "peirce"
     G_EX_MIDDLE = "g_ex_middle"
-    P_EX_MIDDLE = "p_ex_middle"  # experimental, ljp-peirce-pem only
 
 
 ARITY = {
@@ -90,7 +85,6 @@ ARITY = {
     Rule.EX_MIDDLE: 2,
     Rule.PEIRCE: 1,
     Rule.G_EX_MIDDLE: 2,
-    Rule.P_EX_MIDDLE: 2,
 }
 
 _LJP_RULES = frozenset(
@@ -128,7 +122,6 @@ RULES_OF = {
     Calculus.SCN: _SC_RULES | {Rule.EX_MIDDLE, Rule.PEIRCE},
     Calculus.SMC_STAR: _SC_RULES | {Rule.G_EX_MIDDLE},
     Calculus.SCN_STAR: _SC_RULES | {Rule.EX_MIDDLE, Rule.G_EX_MIDDLE},
-    Calculus.LJP_PEIRCE_PEM: _LJP_RULES | {Rule.PEIRCE, Rule.P_EX_MIDDLE},
 }
 
 # the starred calculus equivalent to smc and to scn, in which
@@ -211,9 +204,6 @@ SCHEMAS: dict[Rule, Callable[[Formula, Formula | None], list | None]] = {
     # (Peirce) instantiates alpha -> beta with alpha the succedent
     Rule.PEIRCE: lambda g, a: [((a,), g)] if isinstance(a, Imp) and a.left == g else None,
     Rule.G_EX_MIDDLE: lambda g, a: [((a,), g), ((a.left,), g)] if isinstance(a, Imp) else None,
-    Rule.P_EX_MIDDLE: lambda g, a: (
-        [((Var(a.name, True),), g), ((a,), g)] if isinstance(a, Var) and not a.primed else None
-    ),
 }
 
 # the rules whose principal is the succedent
@@ -229,7 +219,7 @@ LEFT_RULES = frozenset({
 # premise 1 owns one context and premise 2 another
 _SPLIT_RULES = frozenset({Rule.CUT, Rule.IMP_LEFT, Rule.NEG_IMP_LEFT})
 # the rules whose principal need be neither in the conclusion nor a part of it
-_FREE_RULES = frozenset({Rule.CUT, Rule.EX_MIDDLE, Rule.PEIRCE, Rule.G_EX_MIDDLE, Rule.P_EX_MIDDLE})
+_FREE_RULES = frozenset({Rule.CUT, Rule.EX_MIDDLE, Rule.PEIRCE, Rule.G_EX_MIDDLE})
 # what the checker reads of each rule, in one lookup: (arity, right rule,
 # left rule, schema or None for the axioms, split contexts)
 _CHECKS = {
@@ -418,15 +408,14 @@ def check_proof(calc: Calculus, proof: SequentProof) -> CheckReport:
     no walk of their own).
 
     The language is checked on the root's formulas and on each free
-    principal (that of cut, ex_middle, peirce, g_ex_middle, p_ex_middle,
-    an unnamed cut's being its first premise's succedent), and nowhere
-    else.  That is enough: the set equations let a valid node's premises
-    hold only formulas of its conclusion, parts of its principal or
-    succedent, its free principal, and the formulas that the neg_* rules,
-    ex_middle and p_ex_middle build from these.  The first two add a ~,
-    and only connexive calculi have them; p_ex_middle adds a primed atom,
-    and no connexive calculus has it.  So one walk over distinct
-    subformulas decides the language of every node."""
+    principal (that of cut, ex_middle, peirce or g_ex_middle, an unnamed
+    cut's being its first premise's succedent), and nowhere else.  That
+    is enough: the set equations let a valid node's premises hold only
+    formulas of its conclusion, parts of its principal or succedent, its
+    free principal, and the formulas that the neg_* rules and ex_middle
+    build from these.  Those add a ~, and only connexive calculi have
+    them.  So one walk over distinct subformulas decides the language of
+    every node."""
     seen: dict[int, Formula] = {}
     root = proof.conclusion
     reason = language_error(calc, (*root.ctx, root.suc), seen)

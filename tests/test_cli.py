@@ -46,6 +46,26 @@ def test_prove_bad_calculus(capsys):
     assert "error" in err
 
 
+def test_pem_calculus_is_gone(capsys, monkeypatch):
+    """No calculus ljp-peirce-pem and no rule p_ex_middle exist: naming
+    either is an input error.  The proof file derives => p' | p by a
+    p_ex_middle on p."""
+    import io
+
+    code, _, err = run(capsys, "prove", "ljp-peirce-pem", "p")
+    assert code == 2 and "unknown calculus" in err
+    text = json.dumps({"formulas": ["p", "p'", "p' | p"], "nodes": [
+        {"rule": "init1", "ctx": [1], "suc": 1, "principal": None, "premises": []},
+        {"rule": "or_right1", "ctx": [1], "suc": 2, "principal": None, "premises": [0]},
+        {"rule": "init1", "ctx": [0], "suc": 0, "principal": None, "premises": []},
+        {"rule": "or_right2", "ctx": [0], "suc": 2, "principal": None, "premises": [2]},
+        {"rule": "p_ex_middle", "ctx": [], "suc": 2, "principal": 0, "premises": [1, 3]},
+    ]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, err = run(capsys, "check", "sc", "ljp-peirce", "-")
+    assert code == 2 and "p_ex_middle" in err
+
+
 def test_prove_parse_error(capsys):
     code, _, _ = run(capsys, "prove", "sc", "p &&")
     assert code == 2

@@ -34,7 +34,7 @@ def _proof_files() -> list[str]:
         (Calculus.SC, "p & ~q -> p"),
         (Calculus.SMC, "((p -> q) -> p) -> p"),
         (Calculus.SCN, "~p | p"),
-        (Calculus.LJP_PEIRCE_PEM, "p' -> p' | q"),
+        (Calculus.LJP_PEIRCE, "p' -> p' | q"),
     ]
     files = [proof_to_json(decide(c, parse_sequent(g, allow_primed=True)).proof) for c, g in goals]
     return files + [proof_to_json(shared_or_chain(3))]

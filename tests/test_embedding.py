@@ -7,7 +7,7 @@ import time
 import pytest
 
 import connexive
-from connexive.embedding import embed_check, embed_check_cn, positive_goal, translate_f, translate_sequent
+from connexive.embedding import embed_check, positive_goal, translate_f
 from connexive.formula import Imp, Neg, Or, Var, parse, show
 from connexive.prover import Verdict, _embedded, _native, decide, separation_matrix
 from connexive.sequent import Calculus, Rule, Sequent, check_proof, fold, parse_sequent, seq
@@ -58,21 +58,21 @@ def test_rejects_primed_input():
 
 
 def test_translate_sequent():
+    """sc's positive goal is the image f(s) of the sequent, with no
+    assumption added."""
     s = seq([Neg(p)], Neg(Imp(p, q)))
-    assert translate_sequent(s) == seq([Var("p", True)], Imp(p, Var("q", True)))
+    assert positive_goal(Calculus.SC, s) == seq([Var("p", True)], Imp(p, Var("q", True)))
 
 
-def test_embed_check_agreement():
-    rng = random.Random(53)
+@pytest.mark.parametrize("calc, seed", [
+    (Calculus.SC, 55), (Calculus.SC3, 56), (Calculus.SMC, 53), (Calculus.SCN, 54),
+])
+def test_embed_check_agreement(calc, seed):
+    """On 100 random sequents, the connexive search's verdict in calc is
+    the positive search's on positive_goal in POSITIVE[calc]."""
+    rng = random.Random(seed)
     for _ in range(100):
-        r = embed_check(rand_sequent(rng, 7))
-        assert r.agree, str(r.target_sequent)
-
-
-def test_embed_check_cn_agreement():
-    rng = random.Random(54)
-    for _ in range(100):
-        r = embed_check_cn(rand_sequent(rng, 7))
+        r = embed_check(calc, rand_sequent(rng, 7))
         assert r.agree, str(r.target_sequent)
 
 
@@ -104,13 +104,16 @@ ROW_D = (
 
 
 def test_positive_goal_adds_only_split_atoms():
-    """For scn, p | p' is assumed only for an atom of which both p and p'
-    occur in the image; smc's goal is the image itself."""
+    """For sc3 and scn, p | p' is assumed only for an atom of which both
+    p and p' occur in the image; the goal of sc and smc is the image
+    itself."""
     s = parse_sequent("~p, q => p & ~~r")
-    img = translate_sequent(s)
+    img = positive_goal(Calculus.SC, s)
     assert positive_goal(Calculus.SMC, s) == img
-    assert positive_goal(Calculus.SCN, s) == Sequent(img.ctx | {Or(p, Var("p", True))}, img.suc)
-    assert positive_goal(Calculus.SCN, parse_sequent("~~p, q => ~r")) == translate_sequent(parse_sequent("p, q => ~r"))
+    for calc in (Calculus.SC3, Calculus.SCN):
+        assert positive_goal(calc, s) == Sequent(img.ctx | {Or(p, Var("p", True))}, img.suc)
+        unsplit = positive_goal(calc, parse_sequent("~~p, q => ~r"))
+        assert unsplit == positive_goal(Calculus.SC, parse_sequent("p, q => ~r"))
 
 
 @pytest.mark.parametrize("calc, text, rules", [
@@ -207,6 +210,13 @@ def test_row_d_is_decided_through_f():
     assert res.verdict is Verdict.PROVABLE and 100 < res.stats.nodes_expanded < 1000
     rep = check_proof(Calculus.SCN, res.proof)
     assert rep.ok and rep.cut_free
+
+
+def test_row_d_nodes_add_up():
+    """Routed, row D reports the connexive search's 100 nodes plus the
+    positive search's."""
+    s = parse_sequent(ROW_D)
+    assert decide(Calculus.SCN, s).stats.nodes_expanded == 100 + _embedded(Calculus.SCN, s).stats.nodes_expanded
 
 
 def test_row_d_matrix_row():
