@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable, Generator, Iterable, NamedTuple, TypeVar
 
 from .checking import CheckReport, InvalidProof, json_field, json_list
-from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, show
+from .formula import And, Formula, Imp, Neg, Or, Var, key, parse, pending, show
 
 
 class Calculus(str, Enum):
@@ -629,86 +629,197 @@ def _identity(a: Formula, g: frozenset[Formula]) -> Generator:
 
 # ---------------------------------------------------------------------------
 # JSON proof format.  A file is one object: "formulas" lists each distinct
-# formula text once, and "nodes" lists each distinct proof node once,
-# after every premise it names, so the root is the last entry.  A node is
-# {"rule", "ctx": [formula indices], "suc": i, "principal": i or null,
-# "premises": [indices of earlier nodes]}, so a shared subproof is one
-# entry that several nodes name.  With indent, a line holds one formula
-# or one node, at an indent that does not grow with the proof's depth.
+# formula once, after its parts, and "nodes" lists each distinct proof
+# node once, after every premise it names, so the root is the last entry.
+# An atom entry is its text ("p", "p'"); a compound entry names
+# its parts by index: ["&", i, j], ["|", i, j], ["->", i, j] or ["~", i].
+# A node is {"rule", "ctx": [formula indices], "suc": i, "principal": i
+# or null, "premises": [indices of earlier nodes]}, so a shared formula or
+# subproof is one entry that several entries name, and a file grows with
+# the number of distinct formulas and nodes, not with their size.  With
+# indent, a line holds one formula or one node, at an indent that does
+# not grow with the proof's depth.
+
+_SYMBOL = {And: "&", Or: "|", Imp: "->"}
+_CONNECTIVE = {"&": And, "|": Or, "->": Imp, "~": Neg}
+_RULE_NAMED = {rule.value: rule for rule in Rule}
+_INT = frozenset({int})
+
 
 def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
-    """The proof in the table layout, written by one fold.  A context is
-    written in key order, so the text does not depend on set order."""
+    """The proof in the table layout, written by one fold.  A formula is
+    entered under its text, after the parts it lacks, and a context's
+    index list is written in the texts' sort order, once per distinct
+    context; so the text does not depend on set order."""
     number: dict[str, str] = {}  # formula text -> its index, as text
+    formulas: list[str] = []
+    contexts: dict[frozenset, str] = {}  # context -> its index list, as text
     nodes: list[str] = []
 
-    def index(text: str) -> str:
-        i = number.get(text)
-        if i is None:
-            i = number[text] = str(len(number))
-        return i
+    def known(f: Formula) -> bool:
+        return f._text in number
+
+    def enter(phi: Formula) -> str:
+        """The index of phi, which is missing, after entering the parts it
+        lacks; show has stored the text of phi and of each of its parts."""
+        for f in reversed(pending(phi, known)):
+            if f._text in number:  # a part that occurs twice
+                continue
+            cls = type(f)
+            if cls is Var:
+                formulas.append(f'"{f._text}"')
+            elif cls is Neg:
+                formulas.append(f'["~", {number[f.body._text]}]')
+            else:
+                formulas.append(f'["{_SYMBOL[cls]}", {number[f.left._text]}, {number[f.right._text]}]')
+            number[f._text] = str(len(formulas) - 1)
+        return number[phi._text]
 
     def combine(node: SequentProof, subs: list[int]) -> int:
-        ctx = ", ".join([index(t) for t in sorted(map(show, node.conclusion.ctx))])
-        principal = "null" if node.principal is None else index(show(node.principal))
+        c = node.conclusion
+        ctx = contexts.get(c.ctx)
+        if ctx is None:
+            # an index is never "", so `or` enters only what is missing
+            ctx = contexts[c.ctx] = ", ".join([number.get(f._text) or enter(f) for f in sorted(c.ctx, key=show)])
+        phi = node.principal
+        principal = "null" if phi is None else number.get(show(phi)) or enter(phi)
         nodes.append(
-            f'{{"rule": "{node.rule.value}", "ctx": [{ctx}], "suc": {index(show(node.conclusion.suc))}, '
+            f'{{"rule": "{node.rule.value}", "ctx": [{ctx}], "suc": {number.get(show(c.suc)) or enter(c.suc)}, '
             f'"principal": {principal}, "premises": [{", ".join(map(str, subs))}]}}'
         )
         return len(nodes) - 1
 
     fold(proof, combine)
-    texts = [json.dumps(t) for t in number]
     if indent is None:
-        return '{"formulas": [' + ", ".join(texts) + '], "nodes": [' + ", ".join(nodes) + "]}"
+        return '{"formulas": [' + ", ".join(formulas) + '], "nodes": [' + ", ".join(nodes) + "]}"
     outer = "\n" + " " * indent
     inner = outer + " " * indent
     return (
-        "{" + outer + '"formulas": [' + inner + ("," + inner).join(texts) + outer + "],"
+        "{" + outer + '"formulas": [' + inner + ("," + inner).join(formulas) + outer + "],"
         + outer + '"nodes": [' + inner + ("," + inner).join(nodes) + outer + "]\n}"
     )
 
 
 def proof_from_json(text: str) -> SequentProof:
-    """Inverse of proof_to_json, in one loop over the node list: a node or
-    formula that several nodes name by index is read as one object, and
-    the formulas of the file share their equal parts (parse's parts).  Every
-    index must be an int in range, and a premise must come before its
-    node.  Malformed input raises ValueError."""
+    """Inverse of proof_to_json, in one loop over the formula table and one
+    over the node list, with no parser.  Each formula is built from the
+    earlier entries it names, and an entry equal to an earlier one is read
+    as that object, so the file's equal formulas and parts are one object
+    each.  A node or context that several nodes name is read as one object
+    too.  Every index must be an int (not a bool) in range, and a part or
+    premise must come before the entry that names it.  A formula whose tree
+    has more nodes than text has characters, which no file naming each
+    formula by its text could hold, is refused.  Malformed input raises
+    ValueError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("proof file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"proof file must be a JSON object with formulas and nodes, got {obj!r:.80}")
-    parts: dict[tuple, Formula] = {}
-    formulas = [_formula(t, parts) for t in json_list(json_field(obj, "formulas"), "formulas")]
+    formulas = _formula_table(json_list(json_field(obj, "formulas"), "formulas"), len(text))
     entries = json_list(json_field(obj, "nodes"), "nodes")
     if not entries:
         raise ValueError("nodes must not be empty: the root is the last node")
+    size = len(formulas)
+    formula = formulas.__getitem__
+    contexts: dict[tuple, frozenset] = {}  # a context's indices -> the context
     nodes: list[SequentProof] = []
     for k, n in enumerate(entries):
-        if not isinstance(n, dict):
+        if type(n) is not dict:
             raise ValueError(f"node {k} must be a JSON object with a rule, got {n!r:.80}")
-        ctx = frozenset([_at(formulas, i, k, "formula") for i in json_list(json_field(n, "ctx"), "ctx")])
-        raw = n.get("principal")
+        try:
+            name, ctx, suc, principal, premises = n["rule"], n["ctx"], n["suc"], n["principal"], n["premises"]
+        except KeyError as missing:
+            raise ValueError(f"missing field {missing.args[0]!r}") from None
+        if type(ctx) is not list:
+            raise ValueError(f"ctx must be a list, got {ctx!r:.80}")
+        if type(premises) is not list:
+            raise ValueError(f"premises must be a list, got {premises!r:.80}")
+        # a bool or float equals an int as a key, so the types go first
+        if not _INT.issuperset(map(type, ctx)):
+            raise _bad_index(f"node {k} formula", ctx, size)
+        found = contexts.get(ids := tuple(ctx))
+        if found is None:
+            if ctx and (min(ctx) < 0 or max(ctx) >= size):
+                raise _bad_index(f"node {k} formula", ctx, size)
+            found = contexts[ids] = frozenset(map(formula, ctx))
+        if type(suc) is not int or not 0 <= suc < size:
+            raise _bad_index(f"node {k} formula", (suc,), size)
+        if principal is not None and (type(principal) is not int or not 0 <= principal < size):
+            raise _bad_index(f"node {k} formula", (principal,), size)
+        if not _INT.issuperset(map(type, premises)) or premises and (min(premises) < 0 or max(premises) >= k):
+            raise _bad_index(f"node {k} premise", premises, k)
+        rule = _RULE_NAMED.get(name) if type(name) is str else None
+        if rule is None:
+            raise ValueError(f"{name!r:.80} is not a valid Rule")
         nodes.append(SequentProof(
-            Sequent(ctx, _at(formulas, json_field(n, "suc"), k, "formula")),
-            Rule(json_field(n, "rule")),
-            None if raw is None else _at(formulas, raw, k, "formula"),
-            tuple([_at(nodes, i, k, "premise") for i in json_list(n.get("premises", []), "premises")]),
+            Sequent(found, formulas[suc]),
+            rule,
+            None if principal is None else formulas[principal],
+            tuple(map(nodes.__getitem__, premises)),
         ))
     return nodes[-1]
 
 
-def _formula(text, parts: dict[tuple, Formula]) -> Formula:
-    if not isinstance(text, str):
-        raise ValueError(f"formula must be a string, got {text!r:.80}")
-    return parse(text, allow_primed=True, parts=parts)
+def _formula_table(entries: list, limit: int) -> list[Formula]:
+    """The formulas of a table, each built by its node constructor from
+    the earlier entries it names.  An atom is entered under its text and
+    a compound under its class and the ids of its parts, which the list
+    holds; so an entry equal to an earlier one is read as that object.
+    An entry whose tree has more than limit nodes is refused."""
+    formulas: list[Formula] = []
+    sizes: list[int] = []  # the tree size of each entry
+    shared: dict = {}
+    for k, e in enumerate(entries):
+        if type(e) is str:
+            f = shared.get(e)
+            if f is None:
+                primed = e.endswith("'")
+                try:
+                    f = shared[e] = Var(e[:-1] if primed else e, primed)
+                except ValueError:
+                    raise ValueError(f"formula {k}: expected an atom name such as p or p', got {e!r:.80}") from None
+            formulas.append(f)
+            sizes.append(1)
+            continue
+        if type(e) is not list:
+            raise ValueError(f"formula must be a string or a list, got {e!r:.80} (formula {k})")
+        cls = _CONNECTIVE.get(e[0]) if e and type(e[0]) is str else None
+        if cls is None:
+            raise ValueError(f"formula {k} has no operator &, |, -> or ~: {e!r:.80}")
+        if len(e) != (2 if cls is Neg else 3):
+            raise ValueError(f"formula {k}: {e[0]} takes {'one part' if cls is Neg else 'two parts'}, got {len(e) - 1}")
+        if cls is Neg:
+            i = e[1]
+            if type(i) is not int or not 0 <= i < k:
+                raise _bad_index(f"formula {k} part", (i,), k)
+            body = formulas[i]
+            size = sizes[i] + 1
+            parts = (Neg, id(body))
+            f = shared.get(parts)
+            if f is None:
+                f = shared[parts] = Neg(body)
+        else:
+            i, j = e[1], e[2]
+            if type(i) is not int or type(j) is not int or not (0 <= i < k and 0 <= j < k):
+                raise _bad_index(f"formula {k} part", (i, j), k)
+            left, right = formulas[i], formulas[j]
+            size = sizes[i] + sizes[j] + 1
+            parts = (cls, id(left), id(right))
+            f = shared.get(parts)
+            if f is None:
+                f = shared[parts] = cls(left, right)
+        if size > limit:
+            raise ValueError(f"formula {k} has {size} nodes as a tree, more than the file has characters ({limit})")
+        formulas.append(f)
+        sizes.append(size)
+    return formulas
 
 
-def _at(table: list, i, k: int, what: str):
-    """table[i], for an index i that node k gives as a formula or premise."""
-    if type(i) is not int or not 0 <= i < len(table):
-        raise ValueError(f"node {k} {what} index {i!r:.80} is not an integer in range({len(table)})")
-    return table[i]
+def _bad_index(owner: str, indices, size: int) -> ValueError:
+    """The error for the first of indices, which owner (node k's formulas
+    or premises, or formula k's parts) gives, that is not an int in
+    range(size)."""
+    i = next(i for i in indices if type(i) is not int or not 0 <= i < size)
+    return ValueError(f"{owner} index {i!r:.80} is not an integer in range({size})")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Iterator
 
@@ -86,6 +87,43 @@ def and_left_tower(n: int) -> SequentProof:
 
 
 # ---------------------------------------------------------------------------
+# The text-table layout, which proof files had before formulas were named by
+# index: "formulas" lists each distinct formula's full text.  proof_from_json
+# no longer reads it; it stays as the reference writer whose output the
+# byte-digest tests hash, as proof_to_json wrote it then.
+
+def reference_proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
+    number: dict[str, str] = {}  # formula text -> its index, as text
+    nodes: list[str] = []
+
+    def index(text: str) -> str:
+        i = number.get(text)
+        if i is None:
+            i = number[text] = str(len(number))
+        return i
+
+    def combine(node: SequentProof, subs: list[int]) -> int:
+        ctx = ", ".join([index(t) for t in sorted(map(show, node.conclusion.ctx))])
+        principal = "null" if node.principal is None else index(show(node.principal))
+        nodes.append(
+            f'{{"rule": "{node.rule.value}", "ctx": [{ctx}], "suc": {index(show(node.conclusion.suc))}, '
+            f'"principal": {principal}, "premises": [{", ".join(map(str, subs))}]}}'
+        )
+        return len(nodes) - 1
+
+    fold(proof, combine)
+    texts = [json.dumps(t) for t in number]
+    if indent is None:
+        return '{"formulas": [' + ", ".join(texts) + '], "nodes": [' + ", ".join(nodes) + "]}"
+    outer = "\n" + " " * indent
+    inner = outer + " " * indent
+    return (
+        "{" + outer + '"formulas": [' + inner + ("," + inner).join(texts) + outer + "],"
+        + outer + '"nodes": [' + inner + ("," + inner).join(nodes) + outer + "]\n}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # The nested proof layout, which proof files had before the formula table.
 # proof_from_json no longer reads it; it stays as the reference writer
 # whose output test_proof_json_digest_unchanged hashes.
@@ -137,9 +175,9 @@ def derivation_to_obj(d: Derivation) -> dict:
 
 
 # Files in the table layout that proof_from_json rejects, each with a part
-# of its message: a valid file is {"formulas": ["p", "p -> p"], "nodes":
+# of its message: a valid file is {"formulas": ["p", ["->", 0, 0]], "nodes":
 # [<init1 p => p>, <imp_right => p -> p over node 0>]}.
-def _table_file(nodes, formulas=("p", "p -> p")) -> dict:
+def _table_file(nodes, formulas=("p", ["->", 0, 0])) -> dict:
     return {"formulas": list(formulas), "nodes": nodes}
 
 
@@ -166,6 +204,32 @@ MALFORMED_TABLE_FILES = [
     (_table_file({}), "nodes must be a list"),
     (_table_file([{**_LEAF, "rule": ["x"]}]), "not a valid"),
     (_table_file([{**_LEAF, "rule": 1}]), "not a valid"),
+    # an index equal, as a key, to one a valid node gave is still no int
+    (_table_file([_LEAF, {**_LEAF, "ctx": [True]}]), "node 1 formula index True"),
+    (_table_file([{k: v for k, v in _LEAF.items() if k != "principal"}]), "missing field 'principal'"),
+    (_table_file([{k: v for k, v in _LEAF.items() if k != "premises"}]), "missing field 'premises'"),
+    # formula entries: a part must name an earlier entry
+    (_table_file([_LEAF], formulas=["p", ["&", 0, 2], "q"]), "formula 1 part index 2 is not an integer in range(1)"),
+    (_table_file([_LEAF], formulas=["p", ["~", 1]]), "formula 1 part index 1 is not an integer in range(1)"),
+    (_table_file([_LEAF], formulas=["p", ["->", 0, 7]]), "formula 1 part index 7"),
+    (_table_file([_LEAF], formulas=["p", ["|", -1, 0]]), "formula 1 part index -1"),
+    (_table_file([_LEAF], formulas=["p", "q", ["&", 0, True]]), "formula 2 part index True"),
+    (_table_file([_LEAF], formulas=["p", ["&", 0, 0.0]]), "formula 1 part index 0.0"),
+    (_table_file([_LEAF], formulas=["p", ["^", 0, 0]]), "formula 1 has no operator"),
+    (_table_file([_LEAF], formulas=["p", []]), "formula 1 has no operator"),
+    (_table_file([_LEAF], formulas=["p", [0, 0, 0]]), "formula 1 has no operator"),
+    (_table_file([_LEAF], formulas=["p", ["&", 0]]), "formula 1: & takes two parts, got 1"),
+    (_table_file([_LEAF], formulas=["p", ["~", 0, 0]]), "formula 1: ~ takes one part, got 2"),
+    (_table_file([_LEAF], formulas=[{"&": [0, 0]}]), "formula must be a string or a list"),
+    (_table_file([_LEAF], formulas=[None]), "formula must be a string or a list"),
+    # an atom entry is a name alone, so formula text, as a file of the
+    # text-table layout has it, is refused
+    (_table_file([_LEAF], formulas=["P"]), "formula 0: expected an atom name"),
+    (_table_file([_LEAF], formulas=["p", "p -> p"]), "formula 1: expected an atom name"),
+    (_table_file([_LEAF], formulas=[""]), "formula 0: expected an atom name"),
+    (_table_file([_LEAF], formulas=["p''"]), "formula 0: expected an atom name"),
+    # 60 entries, the last a formula of 2^60 - 1 nodes as a tree
+    (_table_file([_LEAF], formulas=["p", *(["&", i, i] for i in range(59))]), "nodes as a tree, more than"),
 ]
 
 

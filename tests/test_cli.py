@@ -10,7 +10,13 @@ from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
 from connexive.formula import Imp, Var
 
-from helpers import MALFORMED_TABLE_FILES, and_left_tower, reference_proof_to_obj, shared_or_chain
+from helpers import (
+    MALFORMED_TABLE_FILES,
+    and_left_tower,
+    reference_proof_to_json,
+    reference_proof_to_obj,
+    shared_or_chain,
+)
 
 p, q = Var("p"), Var("q")
 
@@ -54,7 +60,7 @@ def test_pem_calculus_is_gone(capsys, monkeypatch):
 
     code, _, err = run(capsys, "prove", "ljp-peirce-pem", "p")
     assert code == 2 and "unknown calculus" in err
-    text = json.dumps({"formulas": ["p", "p'", "p' | p"], "nodes": [
+    text = json.dumps({"formulas": ["p", "p'", ["|", 1, 0]], "nodes": [
         {"rule": "init1", "ctx": [1], "suc": 1, "principal": None, "premises": []},
         {"rule": "or_right1", "ctx": [1], "suc": 2, "principal": None, "premises": [0]},
         {"rule": "init1", "ctx": [0], "suc": 0, "principal": None, "premises": []},
@@ -119,7 +125,7 @@ def test_check_rejects_principal_outside_context(capsys, monkeypatch):
     p & q: not a proof, and => p is unprovable."""
     import io
 
-    text = json.dumps({"formulas": ["p", "q", "p & q"], "nodes": [
+    text = json.dumps({"formulas": ["p", "q", ["&", 0, 1]], "nodes": [
         {"rule": "init1", "ctx": [0, 1], "suc": 0, "principal": None, "premises": []},
         {"rule": "and_left", "ctx": [], "suc": 0, "principal": 2, "premises": [0]},
     ]})
@@ -136,9 +142,9 @@ def test_check_rejects_principal_on_right_rule(capsys, monkeypatch):
     principal q & q: a principal on those rules is not a proof field."""
     import io
 
-    text = json.dumps({"formulas": ["p", "q & q", "p -> p"], "nodes": [
-        {"rule": "init1", "ctx": [0], "suc": 0, "principal": 1, "premises": []},
-        {"rule": "imp_right", "ctx": [], "suc": 2, "principal": 1, "premises": [0]},
+    text = json.dumps({"formulas": ["p", "q", ["&", 1, 1], ["->", 0, 0]], "nodes": [
+        {"rule": "init1", "ctx": [0], "suc": 0, "principal": 2, "premises": []},
+        {"rule": "imp_right", "ctx": [], "suc": 3, "principal": 2, "premises": [0]},
     ]})
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "check", "sc", "sc", "-")
@@ -148,10 +154,16 @@ def test_check_rejects_principal_on_right_rule(capsys, monkeypatch):
 
 @pytest.mark.parametrize("obj, message", MALFORMED_TABLE_FILES)
 def test_check_malformed_table(capsys, monkeypatch, obj, message):
+    """Each malformed file is an input error, found within a second: the
+    table naming a formula of 2^60 - 1 nodes as a tree is refused before
+    anything walks that tree."""
     import io
+    import time
 
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj, indent=2)))
+    t0 = time.perf_counter()
     code, out, err = run(capsys, "check", "sc", "sc", "-")
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == "" and message in err
 
@@ -201,6 +213,7 @@ def test_check_malformed_json(capsys, tmp_path):
         '{"rule": "init1", "sequent": {"ctx": "p", "suc": "p"}, "premises": []}',
         '{"ref": 0}',
         pytest.param(json.dumps(reference_proof_to_obj(shared_or_chain(3))), id="nested-layout"),
+        pytest.param(reference_proof_to_json(shared_or_chain(3)), id="text-table-layout"),
     ],
 )
 def test_check_malformed_proof(capsys, monkeypatch, text):
@@ -402,8 +415,8 @@ def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
     re-derive its conclusion in their starred calculi: an (init1) leaf
     is no proof of q => p -> p, though q => p -> p is provable."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"formulas": ["q", "p -> p"], "nodes": [
-        {"rule": "init1", "ctx": [0], "suc": 1, "principal": None, "premises": []},
+    path.write_text(json.dumps({"formulas": ["q", "p", ["->", 1, 1]], "nodes": [
+        {"rule": "init1", "ctx": [0], "suc": 2, "principal": None, "premises": []},
     ]}))
     code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", calculus)
     assert code == 1

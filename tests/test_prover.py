@@ -445,82 +445,93 @@ def test_proof_json_digest_unchanged():
     assert digest.hexdigest() == "dba1b298672b3626432257b40c815656ecec03ebf011b544e83300b34a715dee"
 
 
-# the digest corpus again, hashed as the bytes of today's proof files
+# the digest corpus again, hashed twice: as the reference text-table
+# file of each proof read back from its proof file, and as the bytes of
+# the proof files themselves
 _FILE_DIGEST = """
 import hashlib, random
-from helpers import native_decide, rand_sequent
-from connexive.sequent import CONNEXIVE_CALCULI, proof_to_json
+from helpers import native_decide, rand_sequent, reference_proof_to_json
+from connexive.sequent import CONNEXIVE_CALCULI, proof_from_json, proof_to_json
 
 rng = random.Random(7)
-digest = hashlib.sha256()
+digest, files = hashlib.sha256(), hashlib.sha256()
 for s in [rand_sequent(rng, 10) for _ in range(300)]:
     for calc in sorted(CONNEXIVE_CALCULI):
         res = native_decide(calc, s)
         digest.update(res.verdict.value.encode())
         if res.proof is not None:
-            digest.update(proof_to_json(res.proof, indent=2).encode())
-print(digest.hexdigest())
+            text = proof_to_json(res.proof, indent=2)
+            digest.update(reference_proof_to_json(proof_from_json(text), indent=2).encode())
+            files.update(text.encode())
+print(digest.hexdigest(), files.hexdigest())
 """
 
 
-def test_proof_file_digest_under_hash_seeds():
-    """The proof files of the connexive search's proofs are the same
-    bytes whatever the string hash seed, which sets the iteration order
-    of formula sets."""
+def _digests_under_hash_seeds(script: str) -> set[tuple[str, ...]]:
+    """The distinct lines script prints under string hash seeds 0, 1, 2
+    and 5, each split into its words."""
     tests = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.dirname(os.path.dirname(connexive.__file__)), tests])
     runs = [
         subprocess.Popen(
-            [sys.executable, "-c", _FILE_DIGEST], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         for seed in ("0", "1", "2", "5")
     ]
     outs = [run.communicate(timeout=120) for run in runs]
     assert [run.returncode for run in runs] == [0] * 4, [err for _, err in outs]
-    assert {out.strip() for out, _ in outs} == {"caf88ee229cf16ae34084fca7e24942b8eb6f19dd3e64e7a6a9893c8574bd49b"}
+    return {tuple(out.split()) for out, _ in outs}
+
+
+def test_proof_file_digest_under_hash_seeds():
+    """The proof files of the connexive search's proofs are the same
+    bytes whatever the string hash seed, which sets the iteration order
+    of formula sets; and the proofs read back from them, written in the
+    text-table layout proof files had before formulas were named by
+    index, hash to the digest those files had."""
+    digests = _digests_under_hash_seeds(_FILE_DIGEST)
+    assert {reference for reference, _ in digests} == {"caf88ee229cf16ae34084fca7e24942b8eb6f19dd3e64e7a6a9893c8574bd49b"}
+    assert len({files for _, files in digests}) == 1
 
 
 # the digest corpus in the two calculi decide routes through f, hashed as
-# verdicts, nodes expanded and proof file bytes, of decide and of the
-# route alone (_embedded, whose proofs are lifted ones)
+# verdicts, nodes expanded and the reference text-table file of each
+# proof read back from its proof file, of decide and of the route alone
+# (_embedded, whose proofs are lifted ones); and hashed as the proof
+# files' bytes
 _ROUTED_DIGEST = """
 import hashlib, random
-from helpers import rand_sequent
+from helpers import rand_sequent, reference_proof_to_json
 from connexive.prover import _embedded, decide
-from connexive.sequent import Calculus, proof_to_json
+from connexive.sequent import Calculus, proof_from_json, proof_to_json
 
 rng = random.Random(7)
-digest = hashlib.sha256()
+digest, files = hashlib.sha256(), hashlib.sha256()
 for s in [rand_sequent(rng, 10) for _ in range(300)]:
     for calc in (Calculus.SMC, Calculus.SCN):
         for res in (decide(calc, s), _embedded(calc, s)):
             digest.update(f"{calc.value} {res.verdict.value} {res.stats.nodes_expanded}\\n".encode())
             if res.proof is not None:
-                digest.update(proof_to_json(res.proof, indent=2).encode())
-print(digest.hexdigest())
+                text = proof_to_json(res.proof, indent=2)
+                digest.update(reference_proof_to_json(proof_from_json(text), indent=2).encode())
+                files.update(text.encode())
+print(digest.hexdigest(), files.hexdigest())
 """
 
 
 def test_routed_proof_digest_under_hash_seeds():
     """decide in smc and scn, and the route through f alone, give the
     same verdicts, node counts and proof files on the digest corpus
-    whatever the string hash seed: the digest this loop gave when the
-    route was made (commit dd028fa), with 1 taken off decide's count on
-    the 5 goals that take the route.  That count then included one node
-    past the connexive search's budget of 100."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join([os.path.dirname(os.path.dirname(connexive.__file__)), tests])
-    runs = [
-        subprocess.Popen(
-            [sys.executable, "-c", _ROUTED_DIGEST], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        for seed in ("0", "1", "2", "5")
-    ]
-    outs = [run.communicate(timeout=120) for run in runs]
-    assert [run.returncode for run in runs] == [0] * 4, [err for _, err in outs]
-    assert {out.strip() for out, _ in outs} == {"2a805c4a757ce3398e139e0b1f75156dcea0b64d88b2e097e29924e6e27a5216"}
+    whatever the string hash seed.  Read back and written in the
+    text-table layout, the proofs hash with the verdicts and counts to
+    the digest this loop gave when the route was made (commit dd028fa),
+    with 1 taken off decide's count on the 5 goals that take the route.
+    That count then included one node past the connexive search's budget
+    of 100."""
+    digests = _digests_under_hash_seeds(_ROUTED_DIGEST)
+    assert {reference for reference, _ in digests} == {"2a805c4a757ce3398e139e0b1f75156dcea0b64d88b2e097e29924e6e27a5216"}
+    assert len({files for _, files in digests}) == 1
 
 
 # the five hard rows of the prove benchmark, with their node counts

@@ -299,14 +299,15 @@ def test_weaken_keeps_the_language():
 
 
 # identity_proof(sc, p & ~q) as proof_to_json writes it: a formula
-# table, then each node after its premises, the root last
+# table, each entry after its parts, then each node after its premises,
+# the root last
 TABLE = (
-    '{"formulas": ["p", "~q", "p & ~q"], "nodes": ['
-    '{"rule": "init2", "ctx": [0, 1], "suc": 1, "principal": null, "premises": []}, '
-    '{"rule": "and_left", "ctx": [2], "suc": 1, "principal": 2, "premises": [0]}, '
-    '{"rule": "init1", "ctx": [0, 1], "suc": 0, "principal": null, "premises": []}, '
-    '{"rule": "and_left", "ctx": [2], "suc": 0, "principal": 2, "premises": [2]}, '
-    '{"rule": "and_right", "ctx": [2], "suc": 2, "principal": null, "premises": [3, 1]}]}'
+    '{"formulas": ["p", "q", ["~", 1], ["&", 0, 2]], "nodes": ['
+    '{"rule": "init2", "ctx": [0, 2], "suc": 2, "principal": null, "premises": []}, '
+    '{"rule": "and_left", "ctx": [3], "suc": 2, "principal": 3, "premises": [0]}, '
+    '{"rule": "init1", "ctx": [0, 2], "suc": 0, "principal": null, "premises": []}, '
+    '{"rule": "and_left", "ctx": [3], "suc": 0, "principal": 3, "premises": [2]}, '
+    '{"rule": "and_right", "ctx": [3], "suc": 3, "principal": null, "premises": [3, 1]}]}'
 )
 
 
@@ -497,6 +498,43 @@ def test_proof_from_json_shares_formulas(item2_smc):
     texts = {show(g) for g in parts}
     assert len(texts) < len(parts)  # some subformula repeats
     assert len({id(g) for g in parts}) == len(texts)
+
+
+def test_proof_from_json_reads_equal_entries_as_one_object():
+    """A table that lists p, p & p and ~(p & p) twice each reads each
+    formula as one object, whichever entry a node names; and two nodes
+    that give one context read it as one object."""
+    text = json.dumps({"formulas": ["p", "p", ["&", 0, 1], ["&", 1, 0], ["~", 2], ["~", 3]], "nodes": [
+        {"rule": "init1", "ctx": [2, 1, 4], "suc": 0, "principal": None, "premises": []},
+        {"rule": "and_left", "ctx": [3, 5], "suc": 1, "principal": 2, "premises": [0]},
+        {"rule": "and_left", "ctx": [3, 5], "suc": 1, "principal": 3, "premises": [0]},
+        {"rule": "and_right", "ctx": [3, 5], "suc": 2, "principal": None, "premises": [1, 2]},
+    ]})
+    back = proof_from_json(text)
+    assert check_proof(Calculus.SC, back).ok
+    first, second = back.premises
+    init = first.premises[0]
+    pp = back.conclusion.suc
+    assert pp.left is pp.right is init.conclusion.suc
+    assert first.principal is second.principal is pp
+    assert {id(f) for f in back.conclusion.ctx} < {id(f) for f in init.conclusion.ctx}
+    assert len(init.conclusion.ctx) == 3 and len(back.conclusion.ctx) == 2
+    assert back.conclusion.ctx is first.conclusion.ctx is second.conclusion.ctx
+
+
+def test_long_chain_proof_file_is_linear():
+    """decide's proof of p => p & ... & p at 5,000 conjuncts is a file
+    under 1 MB (a table of formula texts took 50.5 MB), and it reads back
+    equal and valid."""
+    goal = p
+    for _ in range(4999):
+        goal = And(goal, p)
+    proof = decide(Calculus.SC, seq([p], goal)).proof
+    text = proof_to_json(proof)
+    assert len(text) < 1_000_000
+    back = proof_from_json(text)
+    assert back == proof
+    assert check_proof(Calculus.SC, back).ok
 
 
 @pytest.mark.parametrize(
