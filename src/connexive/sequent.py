@@ -644,6 +644,13 @@ _SYMBOL = {And: "&", Or: "|", Imp: "->"}
 _CONNECTIVE = {"&": And, "|": Or, "->": Imp, "~": Neg}
 _RULE_NAMED = {rule.value: rule for rule in Rule}
 _INT = frozenset({int})
+# The reader refuses a formula with more nodes than this as a tree.  A
+# table names parts by index, so a file of a few hundred bytes can name a
+# formula whose tree is exponentially larger, and show, which builds a
+# formula's text, walks its tree.  A formula has no more tree nodes than
+# its text has characters, so any formula whose text is at most 4 MiB
+# long is within the limit.
+FORMULA_TREE_LIMIT = 1 << 22
 
 
 def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
@@ -657,30 +664,31 @@ def proof_to_json(proof: SequentProof, indent: int | None = None) -> str:
     nodes: list[str] = []
 
     def known(f: Formula) -> bool:
-        return f._text in number
+        return show(f) in number
 
     def enter(phi: Formula) -> str:
         """The index of phi, which is missing, after entering the parts it
-        lacks; show has stored the text of phi and of each of its parts."""
+        lacks."""
         for f in reversed(pending(phi, known)):
-            if f._text in number:  # a part that occurs twice
+            text = show(f)
+            if text in number:  # a part that occurs twice
                 continue
             cls = type(f)
             if cls is Var:
-                formulas.append(f'"{f._text}"')
+                formulas.append(f'"{text}"')
             elif cls is Neg:
-                formulas.append(f'["~", {number[f.body._text]}]')
+                formulas.append(f'["~", {number[show(f.body)]}]')
             else:
-                formulas.append(f'["{_SYMBOL[cls]}", {number[f.left._text]}, {number[f.right._text]}]')
-            number[f._text] = str(len(formulas) - 1)
-        return number[phi._text]
+                formulas.append(f'["{_SYMBOL[cls]}", {number[show(f.left)]}, {number[show(f.right)]}]')
+            number[text] = str(len(formulas) - 1)
+        return number[show(phi)]
 
     def combine(node: SequentProof, subs: list[int]) -> int:
         c = node.conclusion
         ctx = contexts.get(c.ctx)
         if ctx is None:
             # an index is never "", so `or` enters only what is missing
-            ctx = contexts[c.ctx] = ", ".join([number.get(f._text) or enter(f) for f in sorted(c.ctx, key=show)])
+            ctx = contexts[c.ctx] = ", ".join([number.get(show(f)) or enter(f) for f in sorted(c.ctx, key=show)])
         phi = node.principal
         principal = "null" if phi is None else number.get(show(phi)) or enter(phi)
         nodes.append(
@@ -707,17 +715,16 @@ def proof_from_json(text: str) -> SequentProof:
     as that object, so the file's equal formulas and parts are one object
     each.  A node or context that several nodes name is read as one object
     too.  Every index must be an int (not a bool) in range, and a part or
-    premise must come before the entry that names it.  A formula whose tree
-    has more nodes than text has characters, which no file naming each
-    formula by its text could hold, is refused.  Malformed input raises
-    ValueError."""
+    premise must come before the entry that names it.  A formula with more
+    than FORMULA_TREE_LIMIT nodes as a tree is refused.  Malformed input
+    raises ValueError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("proof file is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"proof file must be a JSON object with formulas and nodes, got {obj!r:.80}")
-    formulas = _formula_table(json_list(json_field(obj, "formulas"), "formulas"), len(text))
+    formulas = _formula_table(json_list(json_field(obj, "formulas"), "formulas"))
     entries = json_list(json_field(obj, "nodes"), "nodes")
     if not entries:
         raise ValueError("nodes must not be empty: the root is the last node")
@@ -762,12 +769,13 @@ def proof_from_json(text: str) -> SequentProof:
     return nodes[-1]
 
 
-def _formula_table(entries: list, limit: int) -> list[Formula]:
+def _formula_table(entries: list) -> list[Formula]:
     """The formulas of a table, each built by its node constructor from
     the earlier entries it names.  An atom is entered under its text and
     a compound under its class and the ids of its parts, which the list
     holds; so an entry equal to an earlier one is read as that object.
-    An entry whose tree has more than limit nodes is refused."""
+    An entry with more than FORMULA_TREE_LIMIT nodes as a tree is
+    refused."""
     formulas: list[Formula] = []
     sizes: list[int] = []  # the tree size of each entry
     shared: dict = {}
@@ -810,8 +818,8 @@ def _formula_table(entries: list, limit: int) -> list[Formula]:
             f = shared.get(parts)
             if f is None:
                 f = shared[parts] = cls(left, right)
-        if size > limit:
-            raise ValueError(f"formula {k} has {size} nodes as a tree, more than the file has characters ({limit})")
+        if size > FORMULA_TREE_LIMIT:
+            raise ValueError(f"formula {k} has {size} nodes as a tree, over the limit of {FORMULA_TREE_LIMIT}")
         formulas.append(f)
         sizes.append(size)
     return formulas

@@ -229,7 +229,7 @@ MALFORMED_TABLE_FILES = [
     (_table_file([_LEAF], formulas=[""]), "formula 0: expected an atom name"),
     (_table_file([_LEAF], formulas=["p''"]), "formula 0: expected an atom name"),
     # 60 entries, the last a formula of 2^60 - 1 nodes as a tree
-    (_table_file([_LEAF], formulas=["p", *(["&", i, i] for i in range(59))]), "nodes as a tree, more than"),
+    (_table_file([_LEAF], formulas=["p", *(["&", i, i] for i in range(59))]), "nodes as a tree, over the limit"),
 ]
 
 

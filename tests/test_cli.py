@@ -186,6 +186,22 @@ def test_readme_proof_file(capsys, monkeypatch):
     assert code == 0 and out.strip() == "valid"
 
 
+def test_prove_check_repeated_parts(capsys, monkeypatch):
+    """connexive check accepts the short file that connexive prove writes
+    for a goal whose formula repeats a part: X, p => p, where X is p & p
+    squared twelve times, 8,191 nodes as a tree."""
+    import io
+
+    x = "p & p"
+    for _ in range(12):
+        x = f"({x}) & ({x})"
+    code, out, _ = run(capsys, "prove", "sc", f"{x}, p => p")
+    assert code == 0 and len(out) < len(x)
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, err = run(capsys, "check", "sc", "sc", "-")
+    assert (code, out.strip(), err) == (0, "valid", "")
+
+
 def test_check_deep_proof(capsys, tmp_path):
     """A proof 3,001 levels deep is checked under the default limit."""
     path = tmp_path / "deep.json"

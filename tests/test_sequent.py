@@ -537,6 +537,41 @@ def test_long_chain_proof_file_is_linear():
     assert check_proof(Calculus.SC, back).ok
 
 
+def test_repeated_part_proof_file_round_trips():
+    """X & X towers twelve levels high over p & p: the proof of X, p => p
+    is a file of a few hundred bytes naming a formula of 8,191 tree
+    nodes, and it reads back equal and valid."""
+    x = And(p, p)
+    for _ in range(12):
+        x = And(x, x)
+    proof = decide(Calculus.SC, seq([x, p], p)).proof
+    text = proof_to_json(proof)
+    assert len(text) < 1_000 < len(show(x))
+    back = proof_from_json(text)
+    assert back == proof
+    assert check_proof(Calculus.SC, back).ok
+    assert proof_to_json(back) == text
+
+
+def _tower_table(levels: int) -> str:
+    """A one-node file whose table ends in a formula of 2^(levels + 1) - 1
+    tree nodes: p, then levels entries ["&", k - 1, k - 1]."""
+    formulas = ["p", *(["&", k, k] for k in range(levels))]
+    return json.dumps({"formulas": formulas, "nodes": [
+        {"rule": "init1", "ctx": [0, levels], "suc": 0, "principal": None, "premises": []},
+    ]})
+
+
+def test_proof_from_json_tree_limit():
+    """A formula of up to FORMULA_TREE_LIMIT tree nodes is read, one more
+    level is refused, however short the file."""
+    assert sequent.FORMULA_TREE_LIMIT == 2**22
+    back = proof_from_json(_tower_table(21))  # 2^22 - 1 tree nodes
+    assert check_proof(Calculus.SC, back).ok
+    with pytest.raises(ValueError, match="formula 22 has 8388607 nodes as a tree, over the limit of 4194304"):
+        proof_from_json(_tower_table(22))
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
