@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from .checking import InvalidProof
+from .checking import CheckReport, InvalidProof
 from .formula import Formula, show
 from .natded import (
     DISCHARGING_RULES,
@@ -136,7 +136,8 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
     """Normal derivation of a cut-free proof's conclusion in the paired ND
     system.  p is checked in calc first.  A proof in smc or scn, which may
     contain cuts, is then re-derived in the equivalent cut-free starred
-    calculus, and that proof is translated.
+    calculus, and that proof is translated; in any other calculus a proof
+    with a cut raises InvalidProof.
 
     The translation runs from the root up, with the derivation that
     stands for each context formula; that derivation is copied, with
@@ -155,7 +156,7 @@ def sc_to_nd(calc: Calculus, p: SequentProof, cfg: SearchConfig | None = None) -
         found = _rederive(calc, p.conclusion, cfg)
         return _sc_to_nd(calc, found.proof, found.stats.proof_size, cfg)
     if not rep.cut_free:
-        raise ValueError("input proof contains cut")
+        raise InvalidProof(CheckReport(False, (), p.rule.value, "input proof contains cut"))
     return _sc_to_nd(calc, p, rep.tree_size, cfg)
 
 

@@ -33,10 +33,9 @@ from .prover import (
 )
 from .reduction import normalize_by_reduction, reduce_step
 from .sequent import (
-    CONNEXIVE_CALCULI,
-    STARRED,
     Calculus,
     check_proof,
+    language_error,
     parse_sequent,
     proof_from_json,
     proof_to_json,
@@ -88,7 +87,7 @@ def _config(args) -> SearchConfig:
 
 def cmd_prove(args) -> int:
     calc = _calculus(args.calculus)
-    goal = parse_sequent(args.goal, allow_primed=calc not in CONNEXIVE_CALCULI)
+    goal = parse_sequent(args.goal)
     result = decide(calc, goal, _config(args))
     if result.verdict is Verdict.PROVABLE:
         print(proof_to_json(result.proof, indent=2))
@@ -121,12 +120,7 @@ def cmd_transform(args) -> int:
         print(proof_to_json(nd_to_sc(sys_id, derivation_from_json(text)), indent=2))
         return EXIT_OK
     if verb == "sc2nd":
-        calc = _calculus(args.calculus)
-        proof = proof_from_json(text)
-        if not proof.is_cut_free() and calc not in STARRED:
-            print("input proof contains cut", file=sys.stderr)
-            return EXIT_NEGATIVE
-        print(derivation_to_json(sc_to_nd(calc, proof, _config(args)), indent=2))
+        print(derivation_to_json(sc_to_nd(_calculus(args.calculus), proof_from_json(text), _config(args)), indent=2))
         return EXIT_OK
     if verb == "normalize":
         sys_id = _system(args.system)
@@ -148,7 +142,7 @@ def cmd_transform(args) -> int:
         return EXIT_OK
     if verb == "weaken":
         calc = _calculus(args.calculus)
-        extra = frozenset(parse(t, allow_primed=calc not in CONNEXIVE_CALCULI) for t in args.by.split(",") if t.strip())
+        extra = frozenset(parse(t) for t in args.by.split(",") if t.strip())
         print(proof_to_json(weaken_proof(calc, proof_from_json(text), extra), indent=2))
         return EXIT_OK
     if verb == "cutfree":
@@ -170,10 +164,13 @@ def cmd_matrix(args) -> int:
             continue
         try:
             phi = parse(line)
-            row = [show(phi)] + [mark[v] for v in separation_matrix([phi], cfg)[0].verdicts]
         except ParseError:
+            phi = None
+        if phi is None or language_error(Calculus.SC, (phi,)) is not None:
             row = [line, "ERR", "ERR", "ERR", "ERR"]
             status = EXIT_INPUT
+        else:
+            row = [show(phi)] + [mark[v] for v in separation_matrix([phi], cfg)[0].verdicts]
         writer.writerow(row)
     return status
 

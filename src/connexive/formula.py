@@ -1,9 +1,10 @@
 """Formula syntax: AST, parser, printer, and the subformula/negation closure.
 
 The connexive language has atoms, & (conjunction), | (disjunction),
--> (implication), and ~ (strong negation).  Primed atoms (p') form a
-disjoint namespace used only by the negation-eliminating translation
-into the positive intuitionistic target language.
+-> (implication), and ~ (strong negation).  Primed atoms (p') are the
+atoms of the positive language that the negation-eliminating translation
+targets.  The parser reads p and p' alike; sequent.language_error
+decides which formulas a calculus has.
 
 Formulas are immutable trees, whose equal parts may be one object (see
 parse's parts).  Each node stores its hash, computed once by its
@@ -264,8 +265,8 @@ _OPERAND = ("~", "(", "atom")
 _BINARY = {"&": (_PREC_AND, And), "|": (_PREC_OR, Or), "imp": (_PREC_IMP, Imp)}
 
 
-def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] | None = None) -> Formula:
-    """Parse a formula; primed atoms (p') only with allow_primed.
+def parse(text: str, *, parts: dict[tuple, Formula] | None = None) -> Formula:
+    """Parse a formula, reading p and p' alike (see sequent.language_error).
 
     parts is the caller's table of the formulas read so far, each under
     its class and what it is built from: (Var, name, primed), (Neg,
@@ -274,8 +275,8 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] 
     so the formulas one table sees share their equal parts, and == on
     them settles by identity at the first shared part.  The ids name
     parts that the table itself holds, so they stay valid while it
-    lives.  A reader passes one table per file; without one, nothing is
-    shared.
+    lives.  A reader passes one table per file; without one, the
+    formula gets a fresh table of its own.
 
     One loop over the tokens, with a stack of pending operators: Neg for
     a ~, None for a (, and (precedence, class, left operand) for a binary
@@ -284,6 +285,8 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] 
     applies all of them down to its (."""
     if not text.strip():
         raise ParseError("empty input", 0, _OPERAND)
+    if parts is None:
+        parts = {}
     stack: list = []
     f = None  # the operand just read; None where an operand is expected
     for kind, tok, pos in _tokenize(text):
@@ -293,27 +296,18 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] 
                 continue
             if kind != "atom":
                 raise ParseError(f"unexpected token {tok or 'end of input'!r}", pos, _OPERAND)
-            primed = tok.endswith("'")
-            if primed and not allow_primed:
-                raise ParseError("primed atom outside embedding-target mode", pos)
-            name = tok.rstrip("'")
-            if parts is None:
-                f = Var(name, primed)
-            else:
-                f = parts.get((Var, name, primed))
-                if f is None:
-                    f = parts[Var, name, primed] = Var(name, primed)
+            name, primed = tok.rstrip("'"), tok.endswith("'")
+            f = parts.get((Var, name, primed))
+            if f is None:
+                f = parts[Var, name, primed] = Var(name, primed)
         else:
             prec, cls = _BINARY.get(kind, (_PREC_IMP, None))
             least = prec + 1 if cls is Imp else prec  # -> groups to the right
             while stack and type(stack[-1]) is tuple and stack[-1][0] >= least:
                 _, op, left = stack.pop()
-                if parts is None:
-                    f = op(left, f)
-                else:
-                    k = (op, id(left), id(f))
-                    shared = parts.get(k)
-                    f = parts[k] = op(left, f) if shared is None else shared
+                k = (op, id(left), id(f))
+                shared = parts.get(k)
+                f = parts[k] = op(left, f) if shared is None else shared
             if cls is not None:
                 stack.append((prec, cls, f))
                 f = None
@@ -328,12 +322,9 @@ def parse(text: str, allow_primed: bool = False, *, parts: dict[tuple, Formula] 
                 raise ParseError(f"trailing input {tok!r}", pos, ("end of input",))
         while stack and stack[-1] is Neg:
             stack.pop()
-            if parts is None:
-                f = Neg(f)
-            else:
-                k = (Neg, id(f))
-                shared = parts.get(k)
-                f = parts[k] = Neg(f) if shared is None else shared
+            k = (Neg, id(f))
+            shared = parts.get(k)
+            f = parts[k] = Neg(f) if shared is None else shared
     raise AssertionError("the token list ends with eof")
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Generator, Sequence, TypeVar
 
 from .checking import ACCEPT, CheckReport, InvalidProof, json_field, json_list
 from .formula import Formula, Imp, Neg, Var, parse, show
-from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule, recurse, same_dag
+from .sequent import ARITY, LEFT_RULES, RULES_OF, SCHEMAS, Calculus, Rule, language_error, recurse, same_dag
 
 
 class NdSystem(str, Enum):
@@ -688,9 +688,14 @@ def derivation_to_json(d: Derivation, indent: int | None = None) -> str:
 def derivation_from_json(text: str) -> Derivation:
     """Inverse of derivation_to_json.  The formulas of the file are parsed
     once per distinct text and share their equal parts (parse's parts).
-    Malformed input raises ValueError."""
+    Malformed input, or a formula outside the connexive language of every
+    ND system (language_error), raises ValueError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("derivation file is nested too deeply") from None
-    return recurse(_from_obj(obj, {}, {}))
+    formulas: dict[str, Formula] = {}
+    d = recurse(_from_obj(obj, formulas, {}))
+    if (reason := language_error(Calculus.SC, formulas.values())) is not None:
+        raise ValueError(reason)
+    return d

@@ -148,7 +148,9 @@ class NormalizationResult:
 def normalize_by_reduction(
     sys_id: NdSystem, d: Derivation, max_steps: int = 10_000
 ) -> NormalizationResult:
-    """Repeatedly contract the leftmost-innermost maximum occurrence."""
+    """Contract the leftmost-innermost maximum occurrence, max_steps >= 0 times at most."""
+    if max_steps < 0:
+        raise ValueError(f"step limit must not be negative, got {max_steps}")
     require_valid(sys_id, d)
     steps = 0
     while steps < max_steps:

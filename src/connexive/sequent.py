@@ -250,13 +250,15 @@ def seq(ctx: Iterable[Formula], suc: Formula) -> Sequent:
     return Sequent(frozenset(ctx), suc)
 
 
-def parse_sequent(text: str, allow_primed: bool = False) -> Sequent:
-    """Parse "a, b => c" (or a bare formula as "=> formula")."""
+def parse_sequent(text: str) -> Sequent:
+    """Parse "a, b => c" (or a bare formula as "=> formula"), all its
+    formulas through one parse table, so they share their equal parts."""
+    parts: dict[tuple, Formula] = {}
     if "=>" in text:
         left, _, right = text.partition("=>")
-        ctx = [parse(p, allow_primed) for p in left.split(",") if p.strip()]
-        return seq(ctx, parse(right, allow_primed))
-    return seq([], parse(text, allow_primed))
+        ctx = [parse(p, parts=parts) for p in left.split(",") if p.strip()]
+        return seq(ctx, parse(right, parts=parts))
+    return seq([], parse(text, parts=parts))
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)

@@ -296,12 +296,13 @@ def test_nd_to_sc_rejects_invalid():
 
 
 def test_sc_to_nd_requires_cut_free():
+    from connexive.checking import InvalidProof
     from connexive.sequent import Rule, SequentProof, identity_proof
 
     prem1 = identity_proof(Calculus.SC, p, {q})
     prem2 = identity_proof(Calculus.SC, r, {p})
     cut = SequentProof(seq([q, p, r], r), Rule.CUT, p, (prem1, prem2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProof, match="input proof contains cut"):
         sc_to_nd(Calculus.SC, cut)
 
 

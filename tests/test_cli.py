@@ -3,12 +3,13 @@ import sys
 
 import pytest
 
+from connexive.checking import CheckReport, InvalidProof
 from connexive.cli import main
 from connexive.natded import NdSystem, check_derivation, derivation_from_json
 from connexive.sequent import Calculus, Rule, check_proof, proof_from_json, proof_to_json
 from connexive.bridge import nd_to_sc
 from connexive.natded import Derivation, NdRule, assumption, derivation_to_json
-from connexive.formula import Imp, Var
+from connexive.formula import And, Imp, Var
 
 from helpers import (
     MALFORMED_TABLE_FILES,
@@ -439,6 +440,43 @@ def test_transform_sc2nd_checks_input(capsys, tmp_path, calculus):
     assert out == "" and "init1 succedent must be an atom" in err
 
 
+@pytest.mark.parametrize("calculus", ["sc", "sc3"])
+def test_transform_sc2nd_rejects_a_cut(capsys, tmp_path, calculus):
+    """nd_to_sc turns an elimination into a cut, and sc and sc3 have no
+    starred calculus to re-derive the conclusion in: a negative, exit 1."""
+    d = Derivation(NdRule.AND_E1, p, (assumption(And(p, q)),))
+    path = tmp_path / "cut.json"
+    path.write_text(proof_to_json(nd_to_sc(NdSystem.NC, d)))
+    code, out, err = run(capsys, "transform", "sc2nd", str(path), "--calculus", calculus)
+    assert code == 1
+    assert out == "" and "input proof contains cut" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "sc", "p'"],
+        ["transform", "translate", "p'"],
+        ["transform", "weaken", "{proof}", "--by", "p'", "--calculus", "sc"],
+        ["check", "nd", "nc", "{derivation}"],
+        ["transform", "nd2sc", "{derivation}"],
+        ["transform", "normalize", "{derivation}"],
+    ],
+)
+def test_primed_atom_outside_the_language(capsys, tmp_path, argv):
+    """Only the positive calculi have primed atoms: a goal, a formula or a
+    derivation file that holds one where a connexive language is read is
+    an input error, exit 2."""
+    code, out, _ = run(capsys, "prove", "sc", "p -> p")
+    files = {"proof": tmp_path / "p.json", "derivation": tmp_path / "d.json"}
+    files["proof"].write_text(out)
+    p1 = Var("p", True)
+    files["derivation"].write_text(derivation_to_json(Derivation(NdRule.IMP_I, Imp(p1, p1), (assumption(p1, 1),), 1)))
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 2
+    assert out == "" and "primed atoms belong to the positive language only" in err
+
+
 def test_transform_weaken_keeps_the_language(capsys, tmp_path):
     """ljp has no ~, so weakening an ljp proof by ~q is an input error."""
     code, out, _ = run(capsys, "prove", "ljp", "p -> p")
@@ -482,6 +520,24 @@ def test_transform_normalize_and_reduce(capsys, tmp_path):
     code, out, _ = run(capsys, "transform", "reduce", str(path), "--system", "nc")
     assert code == 0
     assert derivation_from_json(out) == assumption(p)
+
+
+def test_transform_reduce_step_limit(capsys, tmp_path):
+    """--steps 0 contracts nothing and reports the limit (exit 1); a
+    negative limit is an input error (exit 2), as --budget 0 is."""
+    detour = Derivation(
+        NdRule.IMP_E,
+        p,
+        (Derivation(NdRule.IMP_I, Imp(p, p), (assumption(p, 1),), 1), assumption(p)),
+    )
+    path = tmp_path / "d.json"
+    path.write_text(derivation_to_json(detour))
+    code, out, err = run(capsys, "transform", "reduce", str(path), "--steps", "0")
+    assert code == 1
+    assert derivation_from_json(out) == detour and "step limit reached after 0 steps" in err
+    code, out, err = run(capsys, "transform", "reduce", str(path), "--steps", "-1")
+    assert code == 2
+    assert out == "" and "step limit must not be negative" in err
 
 
 def test_transform_reduce_at_path_outside_derivation(capsys, tmp_path):
@@ -538,12 +594,36 @@ def test_matrix(capsys, tmp_path):
 
 
 def test_matrix_parse_error_row(capsys, tmp_path):
+    """A line that holds a primed atom, which no connexive calculus has,
+    gets an ERR row as a line that does not parse does; the lines after
+    each are still decided."""
     path = tmp_path / "formulas.txt"
-    path.write_text("p -> p\nnot a formula((\n")
+    path.write_text("p & q\np'\n~p | p\nnot a formula((\np -> p\n")
     code, out, _ = run(capsys, "matrix", str(path))
     assert code == 2
-    lines = out.strip().splitlines()
-    assert lines[2].endswith("ERR,ERR,ERR,ERR")
+    assert out.splitlines()[1:] == [
+        "p & q,N,N,N,N",
+        "p',ERR,ERR,ERR,ERR",
+        "~p | p,N,Y,N,Y",
+        "not a formula((,ERR,ERR,ERR,ERR",
+        "p -> p,Y,Y,Y,Y",
+    ]
+
+
+@pytest.mark.parametrize("error", [InvalidProof(CheckReport(False, (), "init1", "bad proof")), RuntimeError("bad search")])
+def test_matrix_failure_inside_a_row_exits_1(capsys, tmp_path, monkeypatch, error):
+    """A proof that fails certification, or a search that leaves its
+    universe, is no ERR row: it ends the run with exit 1."""
+
+    def fail(formulas, cfg=None):
+        raise error
+
+    monkeypatch.setattr("connexive.cli.separation_matrix", fail)
+    path = tmp_path / "formulas.txt"
+    path.write_text("p -> p\n")
+    code, _, err = run(capsys, "matrix", str(path))
+    assert code == 1
+    assert str(error) in err
 
 
 def test_matrix_empty(capsys, tmp_path):

@@ -36,7 +36,7 @@ def _proof_files() -> list[str]:
         (Calculus.SCN, "~p | p"),
         (Calculus.LJP_PEIRCE, "p' -> p' | q"),
     ]
-    files = [proof_to_json(decide(c, parse_sequent(g, allow_primed=True)).proof) for c, g in goals]
+    files = [proof_to_json(decide(c, parse_sequent(g)).proof) for c, g in goals]
     return files + [proof_to_json(shared_or_chain(3))]
 
 

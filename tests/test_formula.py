@@ -35,14 +35,14 @@ def test_parse_precedence():
 
 
 def test_parse_errors():
-    for bad in ["", "p &", "(p", "p q", "P", "p -> ", "~", "p'", "&p"]:
+    for bad in ["", "p &", "(p", "p q", "P", "p -> ", "~", "&p"]:
         with pytest.raises(ParseError):
             parse(bad)
 
 
 def test_primed_atoms():
-    assert parse("p'", allow_primed=True) == Var("p", True)
-    assert has_primed(parse("p' -> q", allow_primed=True))
+    assert parse("p'") == Var("p", True)
+    assert has_primed(parse("p' -> q"))
     assert not has_primed(parse("p -> q"))
 
 
@@ -245,18 +245,17 @@ _WEIGHTS = [6, 5, 3, 2, 5, 3, 3, 3, 4, 4, 3, 1, 1, 1, 1]
 
 
 def test_parse_outcome_digest_unchanged():
-    """What parse makes of 4,000 seeded random token strings, with primed
-    atoms allowed and not: the formula's text, or the ParseError's
-    message, offset and expected tokens.  The digest was recorded with
-    the recursive-descent parser that the loop parser replaced."""
+    """What parse makes of 4,000 seeded random token strings: the
+    formula's text, or the ParseError's message, offset and expected
+    tokens.  The digest was recorded with the parser that still took a
+    flag for primed atoms, with primed atoms allowed."""
     rng = random.Random(2022)
     digest = hashlib.sha256()
     for _ in range(4000):
         text = "".join(rng.choices(_PIECES, _WEIGHTS, k=rng.randint(0, 14)))
-        for allow_primed in (False, True):
-            try:
-                outcome = show(parse(text, allow_primed))
-            except ParseError as e:
-                outcome = (str(e), e.offset, e.expected)
-            digest.update(repr((text, allow_primed, outcome)).encode())
-    assert digest.hexdigest() == "af52483cf3d8f316d9c5e339831980cbe3aaead899e27424296f881c452c2a8d"
+        try:
+            outcome = show(parse(text))
+        except ParseError as e:
+            outcome = (str(e), e.offset, e.expected)
+        digest.update(repr((text, outcome)).encode())
+    assert digest.hexdigest() == "a672cae6e6278caa3895cf094dc4711ec12cc1586e2850e0e79eaf4f4b4a0b81"

@@ -38,7 +38,7 @@ def _raises_value_error(call) -> bool:
 @pytest.mark.parametrize("goal", GOALS)
 @pytest.mark.parametrize("calc", list(Calculus), ids=lambda c: c.value)
 def test_every_entry_point_agrees_on_the_language(calc, goal, capsys, tmp_path):
-    s = parse_sequent(goal, allow_primed=True)
+    s = parse_sequent(goal)
     leaf, base = SequentProof(s, Rule.INIT1), SequentProof(seq([p], p), Rule.INIT1)
     path, base_path = tmp_path / "leaf.json", tmp_path / "base.json"
     path.write_text(proof_to_json(leaf))
@@ -74,14 +74,14 @@ def test_peirce_principal_outside_the_language_is_invalid(calc, principal, reaso
         return SequentProof(seq([p], p), Rule.PEIRCE, a, (SequentProof(seq([a, p], p), Rule.INIT1),))
 
     assert check_proof(calc, peirce(parse("p -> q"))).ok
-    rep = check_proof(calc, peirce(parse(principal, allow_primed=True)))
+    rep = check_proof(calc, peirce(parse(principal)))
     assert (rep.ok, rep.path, rep.rule, rep.reason) == (False, (), "peirce", reason)
 
 
 def test_unnamed_cut_formula_outside_the_language_is_invalid():
     """An unnamed cut's formula is its first premise's succedent, and it
     appears in no conclusion below the cut."""
-    a = parse("p | q'", allow_primed=True)
+    a = parse("p | q'")
     left = SequentProof(seq([p], a), Rule.OR_RIGHT1, None, (SequentProof(seq([p], p), Rule.INIT1),))
     cut = SequentProof(seq([p], p), Rule.CUT, None, (left, SequentProof(seq([a, p], p), Rule.INIT1)))
     assert check_proof(Calculus.LJP, cut).ok
@@ -94,7 +94,7 @@ def test_language_failure_names_the_first_node_in_pre_order():
     """Two (Peirce) nodes share one principal outside the language: the
     report names the first in pre-order, though the check walks the
     second first."""
-    a = parse("p -> q'", allow_primed=True)
+    a = parse("p -> q'")
 
     def peirce():
         return SequentProof(seq([p], p), Rule.PEIRCE, a, (SequentProof(seq([a, p], p), Rule.INIT1),))

@@ -139,6 +139,15 @@ def test_reduce_rejects_non_maximum():
         reduce_step(NdSystem.NC, d, MaxOccurrence((0,), And(p, q)))
 
 
+def test_normalize_by_reduction_step_limit():
+    """max_steps=0 contracts nothing; a negative limit is refused."""
+    d = Derivation(NdRule.AND_E1, p, (Derivation(NdRule.AND_I, And(p, q), (assumption(p), assumption(q))),))
+    res = normalize_by_reduction(NdSystem.NC, d, max_steps=0)
+    assert (res.derivation, res.steps, res.completed) == (d, 0, False)
+    with pytest.raises(ValueError, match="must not be negative"):
+        normalize_by_reduction(NdSystem.NC, d, max_steps=-1)
+
+
 def test_normalize_by_reduction_random():
     rng = random.Random(31)
     for sys_id in NdSystem:

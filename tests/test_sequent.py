@@ -77,6 +77,10 @@ def test_parse_sequent():
     assert s == seq([p, Imp(q, r)], Neg(p))
     assert parse_sequent("p -> p") == seq([], Imp(p, p))
     assert str(parse_sequent("=> p")) == "=> p"
+    # one parse table for the whole goal: every q is one object
+    s = parse_sequent("p & q, q => q")
+    conj, atom = sorted(s.ctx, key=lambda f: isinstance(f, Var))
+    assert conj.right is atom is s.suc
 
 
 def test_init_rules():
